@@ -1,4 +1,4 @@
-.PHONY: check lint analyze test bench-tier2
+.PHONY: check lint analyze test bench-tier2 bench-e2e
 
 check:
 	sh scripts/check.sh
@@ -28,3 +28,16 @@ test:
 # what reviews look at
 bench-tier2:
 	python benchmarks/run_tier2.py
+
+# end-to-end benchmark (BENCHMARK.json): each workload untraced for the
+# end-to-end metrics, then traced for the per-layer ones; BENCH_SEED and
+# BENCH_SECONDS may be overridden on the command line
+BENCH_SEED ?= 1
+BENCH_SECONDS ?= 30
+bench-e2e:
+	for w in cold16 newton many_rhs; do \
+		python3 perfbench/run.py --workload $$w --seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace 0 || exit 1; \
+	done
+	for w in cold16 newton many_rhs; do \
+		python3 perfbench/run.py --workload $$w --seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace 1 || exit 1; \
+	done

@@ -21,9 +21,8 @@ storage claim of the paper (Fig. 1e vs 1d).
 
 Two physical layouts back the same logical structure:
 
-* **per-block** (legacy): every payload owns its three arrays —
-  independently allocated, independently pickled, re-allocated on every
-  refactorisation;
+* **per-block** (legacy): every payload is its own matrix — independently
+  pickled, re-partitioned on every refactorisation;
 * **arena** (:class:`FactorArena`, the paper's Section 4.2
   "preallocates all block storage during preprocessing"): one contiguous
   ``indptr`` / ``indices`` / ``data`` slab for the whole factor, sized
@@ -320,10 +319,6 @@ class BlockMatrix:
     blk_values:
         Per-block payloads aligned with ``blk_rowidx``; each is a
         :class:`CSCMatrix` with *local* indices.
-    col_support, row_support:
-        Per-block boolean arrays over local columns/rows marking which are
-        structurally nonzero — used to decide whether a Schur product
-        between two blocks is structurally empty.
     plan_cache:
         Lazily-created :class:`repro.kernels.plans.PlanCache` of
         fixed-pattern execution plans for this structure (managed by
@@ -358,8 +353,6 @@ class BlockMatrix:
     blk_colptr: np.ndarray
     blk_rowidx: np.ndarray
     blk_values: list[CSCMatrix]
-    col_support: list[np.ndarray] = field(default_factory=list)
-    row_support: list[np.ndarray] = field(default_factory=list)
     plan_cache: object | None = field(default=None, repr=False)
     arena: FactorArena | None = field(default=None, repr=False)
     dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
@@ -405,35 +398,34 @@ class BlockMatrix:
     # ------------------------------------------------------------------
     def _attach_arena_views(self) -> None:
         """(Re)create ``blk_values`` as zero-copy views into the arena
-        slabs (and the per-block support masks from those views), and
-        rebuild the low-rank overlay from the slab's per-slot ranks."""
+        slabs, and rebuild the low-rank overlay from the slab's per-slot
+        ranks."""
         arena = self.arena
         assert arena is not None
+        orders = np.diff(self.boundaries).tolist()
+        slot_col = np.repeat(np.arange(self.nb), np.diff(self.blk_colptr)).tolist()
         values: list[CSCMatrix] = []
         overlay: dict[tuple[int, int], CompressedBlock] = {}
-        for bj in range(self.nb):
-            for slot in range(int(self.blk_colptr[bj]), int(self.blk_colptr[bj + 1])):
-                bi = int(self.blk_rowidx[slot])
-                shape = (self.block_order(bi), self.block_order(bj))
-                values.append(arena.slot_view(slot, shape))
-                if arena.lr_rank is not None and arena.lr_rank[slot] >= 0:
-                    rank = int(arena.lr_rank[slot])
-                    u, v = arena.lr_views(slot, shape, rank)
-                    src_nnz = int(arena.val_off[slot + 1] - arena.val_off[slot])
-                    overlay[(bi, bj)] = CompressedBlock(
-                        shape=shape, u=u, v=v, src_nnz=src_nnz
-                    )
+        for slot, (bi, bj) in enumerate(zip(self.blk_rowidx.tolist(), slot_col)):
+            shape = (orders[bi], orders[bj])
+            values.append(arena.slot_view(slot, shape))
+            if arena.lr_rank is not None and arena.lr_rank[slot] >= 0:
+                rank = int(arena.lr_rank[slot])
+                u, v = arena.lr_views(slot, shape, rank)
+                src_nnz = int(arena.val_off[slot + 1] - arena.val_off[slot])
+                overlay[(bi, bj)] = CompressedBlock(
+                    shape=shape, u=u, v=v, src_nnz=src_nnz
+                )
         self.blk_values = values
-        self.col_support, self.row_support = _supports(values)
         self.lr_overlay = overlay
 
     def __getstate__(self) -> dict:
         """Serialise without the unpicklable/rebuildable parts.
 
         The plan cache (holds a lock, rebuilt lazily) and the slot index
-        are always dropped.  With an arena, the per-block views and
-        support masks are dropped too — the three slabs are the single
-        source of truth, so pickling ships three contiguous buffers
+        are always dropped.  With an arena, the per-block views are
+        dropped too — the three slabs are the single source of truth, so
+        pickling ships three contiguous buffers
         instead of thousands of small per-block arrays.
         """
         state = {
@@ -443,8 +435,6 @@ class BlockMatrix:
         state["_index"] = None
         if self.arena is not None:
             state["blk_values"] = None
-            state["col_support"] = None
-            state["row_support"] = None
             # the overlay is views into the lr slab; rebuilt from
             # arena.lr_rank on unpickle
             state["lr_overlay"] = {}
@@ -615,18 +605,6 @@ class BlockMatrix:
         }
 
 
-def _supports(blocks: list[CSCMatrix]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-block column/row structural-support masks."""
-    col_support = []
-    row_support = []
-    for blk in blocks:
-        col_support.append(np.diff(blk.indptr) > 0)
-        rs = np.zeros(blk.nrows, dtype=bool)
-        rs[blk.indices] = True
-        row_support.append(rs)
-    return col_support, row_support
-
-
 def _validate_boundaries(n: int, boundaries: np.ndarray) -> np.ndarray:
     """Check a block-boundary array for matrix order ``n``."""
     boundaries = np.asarray(boundaries, dtype=np.int64)
@@ -660,14 +638,15 @@ def block_partition(
 
     Every stored entry of ``filled`` lands in exactly one block; blocks
     keep local CSC patterns with sorted-unique columns (inherited from the
-    parent).  O(nnz + nb²) time.
+    parent).  One stable sort of the entries by (block column, block row)
+    lays out all blocks at once: O(nnz log nnz) time.
 
-    With ``arena=True`` the payloads are laid out in one preallocated
-    :class:`FactorArena` — three contiguous slabs in storage-slot order —
-    and every block is a zero-copy view into them (bit-identical contents
-    to the per-block layout; only the physical backing differs).  The
-    slabs are sized from the per-block extents, so variable-width blocks
-    need no changes below this point.
+    The payloads are laid out in three contiguous slabs in storage-slot
+    order, and every block is a zero-copy view into them.  With
+    ``arena=True`` the slabs are kept as the result's :class:`FactorArena`
+    (in-place refills, pickling as three buffers); otherwise only the
+    per-block views remain.  The slabs are sized from the per-block
+    extents, so variable-width blocks need no changes below this point.
 
     ``dtype`` sets the value dtype of the payloads (and the arena's data
     slab); ``None`` inherits the filled matrix's dtype.  Passing
@@ -688,101 +667,57 @@ def block_partition(
         bs = int(np.diff(bounds).max())
     nb = bounds.size - 1
 
-    # per (bi, bj): lists of (local col, local rows, vals, global start)
-    # gathered per column; each chunk is one contiguous run of the parent
-    # data array beginning at that global start
-    col_chunks: dict[tuple[int, int], list] = {}
-    data = filled.data
-    col_block = np.repeat(np.arange(nb, dtype=np.int64), np.diff(bounds))
-    upper = bounds[1:]
-    for j in range(n):
-        bj = int(col_block[j])
-        lc = j - int(bounds[bj])
-        sl = filled.col_slice(j)
-        rows = filled.indices[sl]
-        if rows.size == 0:
-            continue
-        vals = data[sl]
-        # split the sorted rows at block boundaries
-        cut = np.searchsorted(rows, upper)
-        start = 0
-        for bi in range(nb):
-            end = int(cut[bi])
-            if end > start:
-                col_chunks.setdefault((bi, bj), []).append(
-                    (lc, rows[start:end] - int(bounds[bi]), vals[start:end],
-                     sl.start + start)
-                )
-            start = end
-
-    # assemble each block's local CSC arrays (plus, for the arena, the
-    # parent-data position of every entry)
-    blocks_per_col: list[list[tuple]] = [[] for _ in range(nb)]
-    for (bi, bj), chunks in col_chunks.items():
-        bo_r = int(bounds[bi + 1] - bounds[bi])
-        bo_c = int(bounds[bj + 1] - bounds[bj])
-        indptr = np.zeros(bo_c + 1, dtype=np.int64)
-        for lc, r, _, _ in chunks:
-            indptr[lc + 1] = r.size
-        np.cumsum(indptr, out=indptr)
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
-        vals_arr = np.empty(nnz, dtype=dtype)
-        pos_arr = np.empty(nnz, dtype=np.int64) if arena else None
-        for lc, r, v, gstart in chunks:
-            dst = slice(int(indptr[lc]), int(indptr[lc + 1]))
-            indices[dst] = r
-            vals_arr[dst] = v
-            if pos_arr is not None:
-                pos_arr[dst] = np.arange(gstart, gstart + r.size, dtype=np.int64)
-        blocks_per_col[bj].append((bi, (bo_r, bo_c), indptr, indices, vals_arr, pos_arr))
-
-    # layer-1 CSC over blocks, payloads in storage-slot order
+    # stability keeps the parent's (col, row) order inside each block,
+    # which is the block-local CSC order, so the sorted entries are the
+    # slabs
+    block_of = np.repeat(np.arange(nb, dtype=np.int64), np.diff(bounds))
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(filled.indptr))
+    key = block_of[cols] * nb + block_of[filled.indices]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    nnz = key.size
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # each slot's first entry
+    slot_key = key[first]
+    del key
+    blk_rowidx = slot_key % nb
+    slot_col = slot_key // nb
+    num_blocks = slot_key.size
     blk_colptr = np.zeros(nb + 1, dtype=np.int64)
-    blk_rowidx_parts: list[int] = []
-    payloads: list[tuple] = []
-    for bj in range(nb):
-        entries = sorted(blocks_per_col[bj], key=lambda t: t[0])
-        blk_colptr[bj + 1] = blk_colptr[bj] + len(entries)
-        for bi, shape, indptr, indices, vals_arr, pos_arr in entries:
-            blk_rowidx_parts.append(bi)
-            payloads.append((shape, indptr, indices, vals_arr, pos_arr))
+    np.cumsum(np.bincount(slot_col, minlength=nb), out=blk_colptr[1:])
+    val_off = np.append(first, nnz)
+    entry_slot = np.repeat(np.arange(num_blocks, dtype=np.int64), np.diff(val_off))
+    ptr_len = np.diff(bounds)[slot_col] + 1
+    ptr_off = np.zeros(num_blocks + 1, dtype=np.int64)
+    np.cumsum(ptr_len, out=ptr_off[1:])
+    # block-local indptr: count entries per (slot, local col + 1), then a
+    # running sum restarted at every slot's first position
+    local_col = cols[order] - bounds[slot_col][entry_slot]
+    del cols
+    per_col = np.bincount(ptr_off[entry_slot] + local_col + 1, minlength=int(ptr_off[-1]))
+    indptr = np.cumsum(per_col) - np.repeat(val_off[:-1], ptr_len)
+    del per_col, local_col
 
     out = BlockMatrix(
         n=n,
         bs=bs,
         nb=nb,
         blk_colptr=blk_colptr,
-        blk_rowidx=np.asarray(blk_rowidx_parts, dtype=np.int64),
+        blk_rowidx=blk_rowidx,
         blk_values=[],
         dtype=dtype,
         boundaries=bounds,
     )
-    if not arena:
-        out.blk_values = [
-            CSCMatrix(shape, indptr, indices, vals_arr, check=False)
-            for shape, indptr, indices, vals_arr, _ in payloads
-        ]
-        out.col_support, out.row_support = _supports(out.blk_values)
-        return out
-
-    # arena layout: concatenate the per-block arrays into the three slabs
-    # and the slot→offset tables, then re-expose the blocks as views
-    num_blocks = len(payloads)
-    ptr_off = np.zeros(num_blocks + 1, dtype=np.int64)
-    val_off = np.zeros(num_blocks + 1, dtype=np.int64)
-    for slot, (_, indptr, indices, _, _) in enumerate(payloads):
-        ptr_off[slot + 1] = ptr_off[slot] + indptr.size
-        val_off[slot + 1] = val_off[slot] + indices.size
-    empty_i = np.zeros(0, dtype=np.int64)
-    empty_v = np.zeros(0, dtype=dtype)
+    # both layouts view the same slabs; only the arena layout keeps the
+    # FactorArena (and its gather table) for in-place refills
     out.arena = FactorArena(
-        indptr=np.concatenate([p[1] for p in payloads]) if payloads else empty_i,
-        indices=np.concatenate([p[2] for p in payloads]) if payloads else empty_i,
-        data=np.concatenate([p[3] for p in payloads]) if payloads else empty_v,
+        indptr=indptr,
+        indices=filled.indices[order] - bounds[blk_rowidx][entry_slot],
+        data=filled.data[order].astype(dtype, copy=False),
         ptr_off=ptr_off,
         val_off=val_off,
-        gather=np.concatenate([p[4] for p in payloads]) if payloads else empty_i,
+        gather=order,
     )
     out._attach_arena_views()
+    if not arena:
+        out.arena = None
     return out

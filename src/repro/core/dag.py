@@ -127,101 +127,120 @@ class TaskDAG:
 
 
 def build_dag(f: BlockMatrix) -> TaskDAG:
-    """Construct the task DAG from the blocked filled pattern."""
+    """Construct the task DAG from the blocked filled pattern.
+
+    Tasks are numbered step by step: ``GETRF(k)``, then the step's GESSMs
+    and TSTRFs in block order, then its SSSSMs in row-major ``(i, j)``
+    order.  One integer matmul per step prices every Schur pair at once:
+    ``C[i, j] = nnz-per-column(L(i,k)) · nnz-per-row(U(k,j))`` is half the
+    pair's FLOPs, and it is zero exactly when the product is structurally
+    empty.  The dependency edges are then gathered as arrays, and each
+    task's successors come out in increasing tid order.
+    """
     nb = f.nb
-    tasks: list[Task] = []
-    panel_of_block: dict[tuple[int, int], int] = {}
-    ssssm_into: dict[tuple[int, int], list[int]] = {}
+    rowidx = f.blk_rowidx
+    slot_col = np.repeat(np.arange(nb, dtype=np.int64), np.diff(f.blk_colptr))
+    diag_slot = np.full(nb, -1, dtype=np.int64)
+    on_diag = rowidx == slot_col
+    diag_slot[slot_col[on_diag]] = np.flatnonzero(on_diag)
+    if (diag_slot < 0).any():
+        k = int(np.argmin(diag_slot))
+        raise ValueError(
+            f"diagonal block ({k},{k}) is structurally empty — "
+            "the input needs a zero-free diagonal (run MC64 first)"
+        )
+    # per-step L-column (block rows i > k of column k) and U-row (block
+    # columns j > k of row k) slots, both in increasing block order
+    lower = np.flatnonzero(rowidx > slot_col)
+    upper = np.flatnonzero(rowidx < slot_col)
+    upper = upper[np.argsort(rowidx[upper], kind="stable")]
+    l_ptr = np.searchsorted(slot_col[lower], np.arange(nb + 1)).tolist()
+    u_ptr = np.searchsorted(rowidx[upper], np.arange(nb + 1)).tolist()
+    values = f.blk_values
 
-    # Precompute per-step L-column and U-row block lists
-    lcol: list[list[int]] = [[] for _ in range(nb)]  # block rows i > k with (i,k)
-    urow: list[list[int]] = [[] for _ in range(nb)]  # block cols j > k with (k,j)
-    for bj in range(nb):
-        rows, _ = f.blocks_in_column(bj)
-        for bi in rows:
-            bi = int(bi)
-            if bi > bj:
-                lcol[bj].append(bi)
-            elif bi < bj:
-                urow[bi].append(bj)
+    # ---- create all tasks, one column list per Task field -----------------
+    panel_tid = np.empty(rowidx.size, dtype=np.int64)
+    ttype: list[TaskType] = []
+    step: list[int] = []
+    t_bi: list[int] = []
+    t_bj: list[int] = []
+    flops: list[int] = []
+    # per SSSSM: its tid, its two operand panel tids, its target's slot key
+    ss_tid, ss_l, ss_u, ss_key = [], [], [], []
 
-    def add(ttype: TaskType, k: int, bi: int, bj: int, flops: int) -> int:
-        tid = len(tasks)
-        tasks.append(Task(tid, ttype, k, bi, bj, flops))
-        return tid
+    def add(tt: TaskType, k: int, bi: int, bj: int, fl: int) -> int:
+        ttype.append(tt)
+        step.append(k)
+        t_bi.append(bi)
+        t_bj.append(bj)
+        flops.append(fl)
+        return len(ttype) - 1
 
-    # ---- create all tasks ------------------------------------------------
     for k in range(nb):
-        diag = f.block(k, k)
-        if diag is None:
-            raise ValueError(
-                f"diagonal block ({k},{k}) is structurally empty — "
-                "the input needs a zero-free diagonal (run MC64 first)"
-            )
-        counts = diag_counts(diag)
+        counts = diag_counts(values[diag_slot[k]])
         getrf_fl = int(
             np.sum(counts.lower_col)
             + 2 * np.dot(counts.lower_col, counts.upper_row)
         )
-        panel_of_block[(k, k)] = add(TaskType.GETRF, k, k, k, getrf_fl)
-        # per-U-block row-nnz vectors, reused by every SSSSM of this step
-        u_rownnz: dict[int, np.ndarray] = {}
-        for j in urow[k]:
-            b = f.block(k, j)
-            assert b is not None
-            panel_of_block[(k, j)] = add(
-                TaskType.GESSM, k, k, j, gessm_flops_from_counts(counts, b)
-            )
-            rn = np.zeros(b.nrows, dtype=np.int64)
-            np.add.at(rn, b.indices, 1)
-            u_rownnz[j] = rn
-        l_colnnz: dict[int, np.ndarray] = {}
-        for i in lcol[k]:
-            b = f.block(i, k)
-            assert b is not None
-            panel_of_block[(i, k)] = add(
-                TaskType.TSTRF, k, i, k, tstrf_flops_from_counts(counts, b)
-            )
-            l_colnnz[i] = np.diff(b.indptr)
-        # Schur updates from step k
-        for i in lcol[k]:
-            slot_l = f.block_slot(i, k)
-            csup = f.col_support[slot_l]
-            cn = l_colnnz[i]
-            for j in urow[k]:
-                slot_u = f.block_slot(k, j)
-                rsup = f.row_support[slot_u]
-                if not bool(np.any(csup & rsup)):
-                    continue  # structurally empty product
-                tid = add(
-                    TaskType.SSSSM,
-                    k,
-                    i,
-                    j,
-                    int(2 * np.dot(cn, u_rownnz[j])),
-                )
-                ssssm_into.setdefault((i, j), []).append(tid)
+        panel_tid[diag_slot[k]] = add(TaskType.GETRF, k, k, k, getrf_fl)
+        u_slots = upper[u_ptr[k] : u_ptr[k + 1]]
+        l_slots = lower[l_ptr[k] : l_ptr[k + 1]]
+        u_rownnz = []
+        for slot, j in zip(u_slots.tolist(), slot_col[u_slots].tolist()):
+            b = values[slot]
+            fl = gessm_flops_from_counts(counts, b)
+            panel_tid[slot] = add(TaskType.GESSM, k, k, j, fl)
+            u_rownnz.append(np.bincount(b.indices, minlength=b.nrows))
+        l_colnnz = []
+        for slot, i in zip(l_slots.tolist(), rowidx[l_slots].tolist()):
+            b = values[slot]
+            fl = tstrf_flops_from_counts(counts, b)
+            panel_tid[slot] = add(TaskType.TSTRF, k, i, k, fl)
+            l_colnnz.append(np.diff(b.indptr))
+        if not (l_colnnz and u_rownnz):
+            continue
+        # Schur updates from step k: the nonzero entries of one count matmul
+        half_flops = np.stack(l_colnnz) @ np.stack(u_rownnz).T
+        li, ui = np.nonzero(half_flops)
+        bi, bj = rowidx[l_slots[li]], slot_col[u_slots[ui]]
+        ss_tid.append(np.arange(len(ttype), len(ttype) + li.size))
+        ss_l.append(panel_tid[l_slots[li]])
+        ss_u.append(panel_tid[u_slots[ui]])
+        ss_key.append(bj * nb + bi)
+        ttype.extend([TaskType.SSSSM] * li.size)
+        step.extend([k] * li.size)
+        t_bi.extend(bi.tolist())
+        t_bj.extend(bj.tolist())
+        flops.extend((2 * half_flops[li, ui]).tolist())
 
     # ---- wire dependencies ------------------------------------------------
-    for t in tasks:
-        if t.ttype == TaskType.GETRF:
-            preds = ssssm_into.get((t.k, t.k), [])
-            t.n_deps = len(preds)
-            for p in preds:
-                tasks[p].successors.append(t.tid)
-        elif t.ttype in (TaskType.GESSM, TaskType.TSTRF):
-            preds = ssssm_into.get((t.bi, t.bj), [])
-            t.n_deps = 1 + len(preds)
-            tasks[panel_of_block[(t.k, t.k)]].successors.append(t.tid)
-            for p in preds:
-                tasks[p].successors.append(t.tid)
-        else:  # SSSSM
-            t.n_deps = 2
-            tasks[panel_of_block[(t.bi, t.k)]].successors.append(t.tid)
-            tasks[panel_of_block[(t.k, t.bj)]].successors.append(t.tid)
+    # GETRF(k) -> every GESSM/TSTRF of step k; SSSSM -> the panel task of
+    # its target block; TSTRF(i,k), GESSM(k,j) -> SSSSM(k,i,j)
+    n_tasks = len(ttype)
+    codes = np.asarray(ttype, dtype=np.int64)
+    solves = np.flatnonzero((codes == TaskType.GESSM) | (codes == TaskType.TSTRF))
+    ss = np.concatenate(ss_tid) if ss_tid else np.zeros(0, dtype=np.int64)
+    key = np.concatenate(ss_key) if ss_key else ss
+    slot_key = slot_col * nb + rowidx
+    pos = np.searchsorted(slot_key, key)
+    into = np.append(slot_key, -1)[pos] == key
+    getrf_of_solve = panel_tid[diag_slot][np.asarray(step, dtype=np.int64)[solves]]
+    pred = np.concatenate([getrf_of_solve, ss[into], *ss_l, *ss_u])
+    succ = np.concatenate([solves, panel_tid[pos[into]], ss, ss])
+    n_deps = np.bincount(succ, minlength=n_tasks).tolist()
+    succ_sorted = succ[np.lexsort((succ, pred))].tolist()
+    off = np.zeros(n_tasks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pred, minlength=n_tasks), out=off[1:])
+    off = off.tolist()
 
-    total = int(sum(t.flops for t in tasks))
-    return TaskDAG(tasks=tasks, panel_of_block=panel_of_block, total_flops=total)
+    tasks = [
+        Task(t, *fields, successors=succ_sorted[off[t] : off[t + 1]])
+        for t, fields in enumerate(zip(ttype, step, t_bi, t_bj, flops, n_deps))
+    ]
+    panel_of_block = {
+        (t_bi[t], t_bj[t]): t for t in np.flatnonzero(codes != TaskType.SSSSM).tolist()
+    }
+    return TaskDAG(tasks=tasks, panel_of_block=panel_of_block, total_flops=sum(flops))
 
 
 def sync_free_array(dag: TaskDAG, nb: int) -> dict[tuple[int, int], int]:

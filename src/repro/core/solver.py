@@ -736,7 +736,7 @@ class Factorization:
         from ..runtime.engines import get_engine
         from ..symbolic import fill_in_values
 
-        refreshed = fill_in_values(self.symbolic.filled.pattern_copy(), work)
+        refreshed = fill_in_values(self.symbolic.filled, work)
         if getattr(self.blocks, "lr_overlay", None):
             # stale overlays describe the previous values; the engine
             # re-compresses (into the same arena slab) as it factorises

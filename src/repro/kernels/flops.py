@@ -34,16 +34,12 @@ def _lower_upper_counts(
     column, strict-upper nnz per column, strict-upper nnz per row.
     """
     n = block.ncols
-    lower_col = np.zeros(n, dtype=np.int64)
-    upper_col = np.zeros(n, dtype=np.int64)
-    upper_row = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        rows = block.indices[block.col_slice(j)]
-        pos = int(np.searchsorted(rows, j))
-        has_diag = 1 if pos < rows.size and rows[pos] == j else 0
-        lower_col[j] = rows.size - pos - has_diag
-        upper_col[j] = pos
-        np.add.at(upper_row, rows[:pos], 1)
+    rows = block.indices
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(block.indptr))
+    upper = rows < cols
+    lower_col = np.bincount(cols[rows > cols], minlength=n)
+    upper_col = np.bincount(cols[upper], minlength=n)
+    upper_row = np.bincount(rows[upper], minlength=n)
     return lower_col, upper_col, upper_row
 
 

@@ -135,26 +135,35 @@ def mc64(a: CSCMatrix) -> MC64Result:
         return MC64Result(np.zeros(0, np.int64), np.zeros(0), np.zeros(0), 0.0)
 
     absval = np.abs(a.data)
-    cost = np.full(absval.shape, np.inf)
-    colmax_log = np.empty(n)
-    for j in range(n):
-        sl = a.col_slice(j)
-        vals = absval[sl]
-        nz = vals > 0
-        if not nz.any():
-            raise StructurallySingularError(f"column {j} has no nonzero entries")
-        cmax = float(vals[nz].max())
-        colmax_log[j] = np.log(cmax)
-        cost[sl][...] = np.where(nz, colmax_log[j] - np.log(np.where(nz, vals, 1.0)), np.inf)
-        # note: cost is a fresh array slice? np arrays: cost[sl] returns a view,
-        # [...] assigns in place.
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
+    nz = absval > 0
+    has_nz = np.zeros(n, dtype=bool)
+    has_nz[cols[nz]] = True
+    if not has_nz.all():
+        j = int(np.argmin(has_nz))
+        raise StructurallySingularError(f"column {j} has no nonzero entries")
+    # every column holds a nonzero here, so no reduceat segment is empty
+    colmax_log = np.log(np.maximum.reduceat(np.where(nz, absval, 0.0), a.indptr[:-1]))
+    cost = colmax_log[cols[nz]] - np.log(absval[nz])
 
-    pi_row = np.zeros(n)  # node potentials (rows)
-    pi_col = np.zeros(n)  # node potentials (columns)
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    col_of_row = np.full(n, -1, dtype=np.int64)
+    # the Dijkstra below runs on Python floats and per-column lists of the
+    # finite-cost (nonzero) entries: the same IEEE operations as on NumPy
+    # scalars, without their per-operation overhead
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[nz], minlength=n), out=ptr[1:])
+    ptr_l = ptr.tolist()
+    rows_l = a.indices[nz].tolist()
+    cost_l = cost.tolist()
+    col_rows = [rows_l[ptr_l[j] : ptr_l[j + 1]] for j in range(n)]
+    col_costs = [cost_l[ptr_l[j] : ptr_l[j + 1]] for j in range(n)]
+    del rows_l, cost_l, cost
 
-    INF = np.inf
+    pi_row = [0.0] * n  # node potentials (rows)
+    pi_col = [0.0] * n  # node potentials (columns)
+    row_of_col = [-1] * n
+    col_of_row = [-1] * n
+
+    INF = float("inf")
     for j0 in range(n):
         # Dijkstra over reduced costs from free column j0.
         # Forward arc  j -> r  : w = c_rj + pi_col[j] - pi_row[r]  (>= 0)
@@ -166,18 +175,11 @@ def mc64(a: CSCMatrix) -> MC64Result:
         heap: list[tuple[float, int]] = []
 
         def _relax_from_col(j: int, dj: float) -> None:
-            sl = a.col_slice(j)
-            rows = a.indices[sl]
-            costs = cost[sl]
             pj = pi_col[j]
-            for pos in range(rows.size):
-                r = int(rows[pos])
+            for r, c in zip(col_rows[j], col_costs[j]):
                 if r in done_rows:
                     continue
-                w = costs[pos] + pj - pi_row[r]
-                if not np.isfinite(w):
-                    continue
-                nd = dj + w
+                nd = dj + (c + pj - pi_row[r])
                 if nd < dist_row.get(r, INF):
                     dist_row[r] = nd
                     parent_col_of_row[r] = j
@@ -191,7 +193,7 @@ def mc64(a: CSCMatrix) -> MC64Result:
             if r in done_rows or d > dist_row.get(r, INF):
                 continue
             done_rows.add(r)
-            jm = int(col_of_row[r])
+            jm = col_of_row[r]
             if jm < 0:
                 end_row, delta = r, d
                 break
@@ -217,23 +219,21 @@ def mc64(a: CSCMatrix) -> MC64Result:
         r = end_row
         while True:
             j = parent_col_of_row[r]
-            prev_r = int(row_of_col[j])
+            prev_r = row_of_col[j]
             row_of_col[j] = r
             col_of_row[r] = j
             if j == j0:
                 break
             r = prev_r
 
-    log_product = 0.0
-    for j in range(n):
-        r = int(row_of_col[j])
-        sl = a.col_slice(j)
-        rows = a.indices[sl]
-        pos = int(np.searchsorted(rows, r))
-        log_product += float(np.log(absval[sl][pos]))
+    perm = np.asarray(row_of_col, dtype=np.int64)
+    # matched entries, one per column (CSC positions sorted by col·n + row)
+    pos = np.searchsorted(cols * n + a.indices, np.arange(n, dtype=np.int64) * n + perm)
+    # left-to-right running sum over the columns (np.sum would add pairwise)
+    log_product = float(np.cumsum(np.log(absval[pos]))[-1])
 
     # From feasibility c_ij >= pi_row[i] - pi_col[j] (equality on matched):
     # |a_ij| * e^{pi_row[i]} * e^{-pi_col[j]} / colmax_j <= 1.
-    row_scale = np.exp(pi_row)
-    col_scale = np.exp(-pi_col - colmax_log)
-    return MC64Result(row_of_col.copy(), row_scale, col_scale, log_product)
+    row_scale = np.exp(np.asarray(pi_row))
+    col_scale = np.exp(-np.asarray(pi_col) - colmax_log)
+    return MC64Result(perm, row_scale, col_scale, log_product)

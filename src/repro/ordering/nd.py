@@ -13,28 +13,30 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix, coo_to_csc
-from ..sparse.patterns import adjacency_lists
+from ..sparse.patterns import adjacency_csr, gather_ranges
 from .amd import amd
 from .rcm import bfs_levels, pseudo_peripheral_vertex
 
 __all__ = ["nested_dissection"]
 
 
-def _subgraph_matrix(adj: list[np.ndarray], vertices: np.ndarray) -> CSCMatrix:
+def _subgraph_matrix(
+    adj: tuple[np.ndarray, np.ndarray], vertices: np.ndarray
+) -> CSCMatrix:
     """Build the pattern matrix of the subgraph induced by ``vertices``."""
-    pos = {int(v): i for i, v in enumerate(vertices)}
-    rows: list[int] = []
-    cols: list[int] = []
-    for i, v in enumerate(vertices):
-        for w in adj[int(v)]:
-            j = pos.get(int(w))
-            if j is not None:
-                rows.append(j)
-                cols.append(i)
-    m = len(vertices)
-    rows_arr = np.asarray(rows + list(range(m)), dtype=np.int64)
-    cols_arr = np.asarray(cols + list(range(m)), dtype=np.int64)
-    return coo_to_csc((m, m), rows_arr, cols_arr)
+    xadj, adjncy = adj
+    m = vertices.size
+    pos = np.full(xadj.size - 1, -1, dtype=np.int64)
+    pos[vertices] = np.arange(m, dtype=np.int64)
+    starts = xadj[vertices]
+    counts = xadj[vertices + 1] - starts
+    rows = pos[adjncy[gather_ranges(starts, counts)]]
+    cols = np.repeat(np.arange(m, dtype=np.int64), counts)
+    keep = rows >= 0
+    diag = np.arange(m, dtype=np.int64)
+    return coo_to_csc(
+        (m, m), np.concatenate([rows[keep], diag]), np.concatenate([cols[keep], diag])
+    )
 
 
 def _pick_separator(levels: list[np.ndarray]) -> int:
@@ -64,20 +66,18 @@ def _pick_separator(levels: list[np.ndarray]) -> int:
 
 
 def _dissect(
-    adj: list[np.ndarray],
+    adj: tuple[np.ndarray, np.ndarray],
     vertices: np.ndarray,
     leaf_size: int,
-    out: list[int],
+    out: list[np.ndarray],
 ) -> None:
     if vertices.size == 0:
         return
     if vertices.size <= leaf_size:
-        sub = _subgraph_matrix(adj, vertices)
-        local = amd(sub)
-        out.extend(int(vertices[i]) for i in local)
+        out.append(vertices[amd(_subgraph_matrix(adj, vertices))])
         return
 
-    mask = np.zeros(len(adj), dtype=bool)
+    mask = np.zeros(adj[0].size - 1, dtype=bool)
     mask[vertices] = True
     start = int(vertices[0])
     start, _ = pseudo_peripheral_vertex(adj, start, mask)
@@ -93,9 +93,7 @@ def _dissect(
 
     if len(levels) < 3:
         # graph too shallow to dissect — fall back to AMD
-        sub = _subgraph_matrix(adj, vertices)
-        local = amd(sub)
-        out.extend(int(vertices[i]) for i in local)
+        out.append(vertices[amd(_subgraph_matrix(adj, vertices))])
         return
 
     sep_level = _pick_separator(levels)
@@ -105,9 +103,7 @@ def _dissect(
     _dissect(adj, left, leaf_size, out)
     _dissect(adj, right, leaf_size, out)
     # separator last (eliminated after both halves)
-    sub = _subgraph_matrix(adj, sep)
-    local = amd(sub)
-    out.extend(int(sep[i]) for i in local)
+    out.append(sep[amd(_subgraph_matrix(adj, sep))])
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
@@ -128,10 +124,9 @@ def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
     n = a.ncols
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    adj = adjacency_lists(a)
-    out: list[int] = []
-    _dissect(adj, np.arange(n, dtype=np.int64), leaf_size, out)
-    perm = np.asarray(out, dtype=np.int64)
+    out: list[np.ndarray] = []
+    _dissect(adjacency_csr(a), np.arange(n, dtype=np.int64), leaf_size, out)
+    perm = np.concatenate(out)
     if perm.size != n or np.unique(perm).size != n:  # pragma: no cover
         raise AssertionError("nested dissection produced an invalid permutation")
     return perm

@@ -9,7 +9,9 @@ from .csc import CSCMatrix, coo_to_csc
 __all__ = [
     "symmetrize_pattern",
     "pattern_union",
+    "adjacency_csr",
     "adjacency_lists",
+    "gather_ranges",
     "bandwidth",
     "is_structurally_symmetric",
     "has_full_diagonal",
@@ -50,19 +52,35 @@ def pattern_union(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     return out
 
 
+def adjacency_csr(a: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected adjacency of the symmetrised pattern, excluding self-loops,
+    as a CSR pair ``(xadj, adjncy)``: the sorted neighbours of vertex ``v``
+    are ``adjncy[xadj[v]:xadj[v + 1]]``."""
+    s = symmetrize_pattern(a)
+    cols = s.cols_expanded()
+    off = s.indices != cols
+    xadj = np.zeros(s.ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[off], minlength=s.ncols), out=xadj[1:])
+    return xadj, s.indices[off]
+
+
 def adjacency_lists(a: CSCMatrix) -> list[np.ndarray]:
     """Undirected adjacency of the symmetrised pattern, excluding self-loops.
 
-    Returns, for each vertex ``v``, a sorted array of neighbours.  Used by
-    the from-scratch ordering codes (AMD, nested dissection, RCM).
+    Returns, for each vertex ``v``, a sorted array of neighbours (slices of
+    :func:`adjacency_csr`).  Used by the minimum-degree codes (AMD, MD).
     """
-    s = symmetrize_pattern(a)
-    n = s.ncols
-    out: list[np.ndarray] = []
-    for j in range(n):
-        rows, _ = s.col(j)
-        out.append(rows[rows != j].copy())
-    return out
+    xadj, adjncy = adjacency_csr(a)
+    off = xadj.tolist()
+    return [adjncy[off[v] : off[v + 1]] for v in range(len(off) - 1)]
+
+
+def gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges ``starts[i] : starts[i] + counts[i]``
+    (the positions of a CSR/CSC gather over several rows/columns)."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
 
 
 def bandwidth(a: CSCMatrix) -> int:
@@ -82,15 +100,18 @@ def is_structurally_symmetric(a: CSCMatrix) -> bool:
     )
 
 
+def _missing_diagonal(a: CSCMatrix) -> np.ndarray:
+    """Sorted indices ``j < min(shape)`` whose entry ``(j, j)`` is not stored."""
+    n = min(a.shape)
+    cols = np.repeat(np.arange(a.ncols, dtype=np.int64), np.diff(a.indptr))
+    present = np.zeros(n, dtype=bool)
+    present[cols[a.indices == cols]] = True
+    return np.flatnonzero(~present)
+
+
 def has_full_diagonal(a: CSCMatrix) -> bool:
     """True when every diagonal position is structurally present."""
-    n = min(a.shape)
-    for j in range(n):
-        rows = a.indices[a.col_slice(j)]
-        pos = np.searchsorted(rows, j)
-        if pos >= rows.size or rows[pos] != j:
-            return False
-    return True
+    return _missing_diagonal(a).size == 0
 
 
 def ensure_diagonal(a: CSCMatrix, value: float = 0.0) -> CSCMatrix:
@@ -99,16 +120,9 @@ def ensure_diagonal(a: CSCMatrix, value: float = 0.0) -> CSCMatrix:
     Missing diagonal entries are inserted with ``value``; existing entries
     are untouched.  Static-pivoting LU requires a structurally full diagonal.
     """
-    n = min(a.shape)
-    missing = []
-    for j in range(n):
-        rows = a.indices[a.col_slice(j)]
-        pos = np.searchsorted(rows, j)
-        if pos >= rows.size or rows[pos] != j:
-            missing.append(j)
-    if not missing:
+    miss = _missing_diagonal(a)
+    if not miss.size:
         return a.copy()
-    miss = np.asarray(missing, dtype=np.int64)
     rows_a, cols_a = a.rows_cols()
     rows = np.concatenate([rows_a, miss])
     cols = np.concatenate([cols_a, miss])

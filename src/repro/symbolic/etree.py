@@ -2,8 +2,8 @@
 
 The elimination tree of a (symmetrised) sparse matrix drives both symbolic
 factorisation paths in this reproduction: PanguLU's symmetric-pruned fill
-computation walks row subtrees of the etree, and the supernodal baseline
-uses the etree's postorder to detect supernodes.
+merges each column's structure into its etree parent, and the supernodal
+baseline uses the etree's postorder to detect supernodes.
 """
 
 from __future__ import annotations
@@ -25,24 +25,26 @@ def elimination_tree(a: CSCMatrix, *, symmetrize: bool = True) -> np.ndarray:
     """
     s = symmetrize_pattern(a) if symmetrize else a
     n = s.ncols
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
+    indptr = s.indptr.tolist()
+    indices = s.indices.tolist()
+    parent = [-1] * n
+    ancestor = [-1] * n
     for j in range(n):
-        rows = s.indices[s.col_slice(j)]
-        for r in rows[rows < j]:
-            # climb from r to the root of its current subtree, compressing
-            i = int(r)
+        for i in indices[indptr[j] : indptr[j + 1]]:
+            if i >= j:
+                break  # rows are sorted: the strict-upper part is done
+            # climb from i to the root of its current subtree, compressing
             while True:
-                anc = int(ancestor[i])
+                anc = ancestor[i]
                 ancestor[i] = j
                 if anc < 0:
-                    if parent[i] < 0 and i != j:
-                        parent[i] = j
+                    # a subtree root has no parent yet (both are set together)
+                    parent[i] = j
                     break
                 if anc == j:
                     break
                 i = anc
-    return parent
+    return np.asarray(parent, dtype=np.int64)
 
 
 def postorder(parent: np.ndarray) -> np.ndarray:

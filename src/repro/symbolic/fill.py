@@ -3,11 +3,12 @@
 Two paths, mirroring the two solvers under test:
 
 * :func:`symbolic_symmetric` — PanguLU's path (Section 4.1/5.2): symmetrise
-  the pattern and compute the exact Cholesky-style fill of ``A + A^T`` via
-  elimination-tree row-subtree walks.  This *is* the symmetric-pruning
-  formulation: walking the etree visits each structural row entry once,
-  which is exactly what Eisenstat–Liu symmetric pruning achieves for
-  symmetric structures — no redundant reachability searches.
+  the pattern and compute the exact Cholesky-style fill of ``A + A^T`` by
+  one pass over the columns, merging each column's strict-lower rows with
+  the structures of its elimination-tree children.  This *is* the
+  symmetric-pruning formulation: a child's structure is reused whole by
+  its parent, which is exactly what Eisenstat–Liu symmetric pruning
+  achieves for symmetric structures — no redundant reachability searches.
 
 * :func:`symbolic_gilbert_peierls` (in :mod:`repro.symbolic.gp`) — the
   unsymmetric column-DFS fill used by the SuperLU_DIST-like baseline.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse.csc import CSCMatrix, coo_to_csc
+from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import symmetrize_pattern
 from .etree import elimination_tree
 
@@ -67,9 +68,12 @@ class SymbolicResult:
 def symbolic_symmetric(a: CSCMatrix) -> SymbolicResult:
     """Exact fill pattern of the symmetrised matrix (PanguLU's symbolic).
 
-    The row-subtree walk enumerates, for each row ``i``, the columns
-    ``j < i`` where ``L[i, j]`` is structurally nonzero; ``U``'s pattern is
-    the transpose.  Complexity O(|L|) after the etree.
+    Columns are visited in increasing order (children before parents in
+    the elimination tree).  The strict-lower structure of column ``j`` of
+    ``L`` is the union of the strict-lower rows of column ``j`` of
+    ``A + A^T`` and the structures of its etree children, less ``j``
+    itself; ``U``'s pattern is the transpose.  Complexity O(|L| log |L|)
+    after the etree.
     """
     if a.nrows != a.ncols:
         raise ValueError("symbolic factorisation requires a square matrix")
@@ -77,47 +81,37 @@ def symbolic_symmetric(a: CSCMatrix) -> SymbolicResult:
     s = symmetrize_pattern(a)
     parent = elimination_tree(s, symmetrize=False)
 
-    # pass 1: count entries per row of L (strict lower part)
-    mark = np.full(n, -1, dtype=np.int64)
-    row_counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        mark[i] = i
-        rows = s.indices[s.col_slice(i)]
-        for r in rows[rows < i]:
-            j = int(r)
-            while j != -1 and mark[j] != i:
-                mark[j] = i
-                row_counts[i] += 1
-                j = int(parent[j])
+    children: list[list[int]] = [[] for _ in range(n)]
+    for c, p in enumerate(parent.tolist()):
+        if p >= 0:
+            children[p].append(c)
+    below = s.indices > s.cols_expanded()
+    own_rows = s.indices[below]
+    own_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s.cols_expanded()[below], minlength=n), out=own_ptr[1:])
+    own_ptr = own_ptr.tolist()
+    struct: list[np.ndarray] = []
+    for j in range(n):
+        own = own_rows[own_ptr[j] : own_ptr[j + 1]]
+        if children[j]:
+            # a child's structure starts with its parent j; drop it
+            own = np.unique(np.concatenate([own] + [struct[c][1:] for c in children[j]]))
+        struct.append(own)
+    counts = np.fromiter(map(len, struct), dtype=np.int64, count=n)
+    lower_rows = np.concatenate(struct) if n else np.zeros(0, dtype=np.int64)
+    del struct
+    lower_cols = np.repeat(np.arange(n, dtype=np.int64), counts)
 
-    # pass 2: collect the column indices per row
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=row_ptr[1:])
-    lower_cols = np.empty(int(row_ptr[-1]), dtype=np.int64)
-    fill_pos = row_ptr[:-1].copy()
-    mark[:] = -1
-    for i in range(n):
-        mark[i] = i
-        rows = s.indices[s.col_slice(i)]
-        for r in rows[rows < i]:
-            j = int(r)
-            while j != -1 and mark[j] != i:
-                mark[j] = i
-                lower_cols[fill_pos[i]] = j
-                fill_pos[i] += 1
-                j = int(parent[j])
-
-    lower_rows = np.repeat(np.arange(n, dtype=np.int64), row_counts)
-    # full pattern = strict lower + its transpose + diagonal, with A's values
-    rows_all = np.concatenate(
-        [lower_rows, lower_cols, np.arange(n, dtype=np.int64)]
+    # full pattern = strict lower + its transpose + diagonal, sorted by
+    # (column, row) through one sort of the col·n + row keys
+    diag = np.arange(n, dtype=np.int64)
+    keys = np.concatenate(
+        [lower_cols * n + lower_rows, lower_rows * n + lower_cols, diag * (n + 1)]
     )
-    cols_all = np.concatenate(
-        [lower_cols, lower_rows, np.arange(n, dtype=np.int64)]
-    )
-    pattern = coo_to_csc(
-        (n, n), rows_all, cols_all, np.zeros(rows_all.size), sum_duplicates=True
-    )
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    pattern = CSCMatrix((n, n), indptr, keys % n, check=False)
+    del keys
     filled = fill_in_values(pattern, a)
     nnz_strict = int(lower_rows.size)
     return SymbolicResult(
@@ -128,25 +122,30 @@ def symbolic_symmetric(a: CSCMatrix) -> SymbolicResult:
     )
 
 
+def _entry_keys(m: CSCMatrix) -> np.ndarray:
+    """``col · nrows + row`` of every stored entry (increasing for CSC)."""
+    starts = np.arange(m.ncols, dtype=np.int64) * m.nrows
+    return np.repeat(starts, np.diff(m.indptr)) + m.indices
+
+
 def fill_in_values(pattern: CSCMatrix, a: CSCMatrix) -> CSCMatrix:
     """Inject the values of ``a`` into (a superset) ``pattern``.
 
     Every stored entry of ``a`` must exist in ``pattern``; fill positions
-    keep value 0.  Returns a new matrix sharing ``pattern``'s arrays shape.
+    keep value 0.  Returns a new matrix with a copy of ``pattern``'s
+    structure; one ``searchsorted`` of ``a``'s entry keys into the
+    pattern's places every value.
     """
     if pattern.shape != a.shape:
         raise ValueError("shape mismatch")
     out = pattern.pattern_copy()
-    data = out.data  # allocates zeros
-    for j in range(a.ncols):
-        sl_a = a.col_slice(j)
-        rows_a = a.indices[sl_a]
-        if rows_a.size == 0:
-            continue
-        sl_p = out.col_slice(j)
-        rows_p = out.indices[sl_p]
-        pos = np.searchsorted(rows_p, rows_a)
-        if np.any(pos >= rows_p.size) or np.any(rows_p[np.minimum(pos, rows_p.size - 1)] != rows_a):
-            raise ValueError(f"pattern does not cover column {j} of the input")
-        data[int(out.indptr[j]) + pos] = a.data[sl_a]
+    keys_p = _entry_keys(out)
+    keys_a = _entry_keys(a)
+    pos = np.searchsorted(keys_p, keys_a)
+    # a -1 sentinel past the end: no key matches it
+    covered = np.append(keys_p, -1)[pos] == keys_a
+    if not covered.all():
+        j = int(keys_a[int(np.argmin(covered))] // a.nrows)
+        raise ValueError(f"pattern does not cover column {j} of the input")
+    out.data[pos] = a.data
     return out

@@ -131,16 +131,6 @@ class TestPartition:
         for blk in bm.blk_values:
             blk._validate()
 
-    def test_supports(self):
-        _, bm = self._blocked()
-        for slot, blk in enumerate(bm.blk_values):
-            np.testing.assert_array_equal(
-                bm.col_support[slot], np.diff(blk.indptr) > 0
-            )
-            rs = np.zeros(blk.nrows, dtype=bool)
-            rs[blk.indices] = True
-            np.testing.assert_array_equal(bm.row_support[slot], rs)
-
     def test_blocks_in_row(self):
         f, bm = self._blocked()
         for bi in range(bm.nb):
