@@ -20,8 +20,12 @@ analyze:
 	PYTHONPATH=src python -m repro.devtools.lint src --flow \
 		--baseline analysis-baseline.json --sarif analysis.sarif
 
+# tier-1 suite, then the benchmark harness's own tests (a change to the
+# engine signature or the stats fields perfbench reads fails here, not
+# in the benchmark run)
 test:
 	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python -m pytest -q perfbench
 
 # regenerate BENCH_kernels.json (stamped with git SHA + timestamp +
 # matrix set); absolute numbers are machine-dependent — the ratios are

@@ -37,7 +37,7 @@ def _pangulu_split(name: str) -> tuple[float, float]:
     pg = prepared_pangulu(name)
     # factorise a fresh copy of the blocks so the cached solver stays clean
     blocks = block_partition(pg.symbolic.filled, pg.blocks.bs)
-    stats = factorize(blocks, pg.dag, collect_timings=True)
+    stats = factorize(blocks, pg.dag)
     by = stats.seconds_by_type
     panel = by.get("GETRF", 0.0) + by.get("GESSM", 0.0) + by.get("TSTRF", 0.0)
     schur = by.get("SSSSM", 0.0)

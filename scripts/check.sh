@@ -22,3 +22,6 @@ fi
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
+
+echo "== benchmark harness tests (perfbench) =="
+PYTHONPATH=src python -m pytest -q perfbench

@@ -1,4 +1,5 @@
-"""Numeric factorisation driver.
+"""Numeric factorisation: task kernels, selection features and the
+sequential entry point.
 
 Executes the task DAG on the blocked matrix *in place*: after
 :func:`factorize`, every diagonal block holds its LU factors (unit-lower
@@ -8,24 +9,23 @@ diagonal hold ``L``, blocks above hold ``U``.
 Execution follows the synchronisation-free discipline of Section 4.4: a
 ready-heap ordered by priority (earlier elimination step first — the
 critical path — then kernel class), counters per task, counter decrements
-on completion.  That discipline lives exactly once, in
-:class:`repro.runtime.scheduler.SchedulerCore`; this module is the
-*sequential* engine draining one core, the threaded engine
-(:mod:`repro.runtime.threaded`) shares a core between workers, the
-distributed engine (:mod:`repro.runtime.distributed`) gives each rank a
-core over its owned tasks, and :mod:`repro.runtime.simulator` models the
-same protocol in virtual time — all replay the same DAG.
+on completion.  The counters and heap live in
+:class:`repro.runtime.scheduler.SchedulerCore`, the drain loop in
+:func:`repro.runtime.executor.execute`; this module supplies the per-task
+work (:func:`task_features`, :func:`execute_task`) that the executor's
+factor body runs, and :func:`factorize`, the 1×1 lane shape.  The
+threaded, distributed and hybrid engines are the 1×T, P×1 and P×T
+shapes of the same executor, and :mod:`repro.runtime.simulator` models
+the protocol in virtual time — all replay the same DAG.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass, field
 
 from ..kernels.base import Workspace
 from ..kernels.compress import CompressPolicy, try_compress
-from ..runtime.scheduler import EventRecorder, SchedulerCore, WorkerLocal, ready_entry
+from ..runtime.scheduler import EventRecorder, SchedulerCore
 from ..kernels.plans import (
     PlanCache,
     build_gessm_plan,
@@ -50,12 +50,9 @@ __all__ = [
     "FactorizeStats",
     "factorize",
     "task_features",
-    "run_task",
     "execute_task",
     "resolve_plan_cache",
     "resolve_compress",
-    "ready_entry",
-    "push_ready",
 ]
 
 _TTYPE_TO_KTYPE = {
@@ -111,7 +108,14 @@ class NumericOptions:
 
 @dataclass
 class FactorizeStats:
-    """Per-run accounting: task counts, chosen kernel versions, timings."""
+    """Per-run accounting of every engine: task counts, chosen kernel
+    versions, timings, lane shape and message traffic.
+
+    ``seconds_total`` is the drain's wall time (summed over ranks on a
+    distributed run) and ``seconds_by_type`` the kernel time per task
+    type.  ``tasks_per_proc``, ``messages_sent`` and
+    ``block_bytes_sent`` are filled by the distributed engines.
+    """
 
     kernel_choices: dict[int, str] = field(default_factory=dict)
     tasks_executed: int = 0
@@ -123,6 +127,26 @@ class FactorizeStats:
     plan_bytes: int = 0
     blocks_compressed: int = 0
     lr_value_bytes: int = 0
+    n_workers: int = 1
+    n_procs: int = 1
+    tasks_per_proc: list[int] = field(default_factory=list)
+    messages_sent: int = 0
+    block_bytes_sent: float = 0.0
+    max_ready_depth: int = 0
+
+    def merge(self, rank: FactorizeStats) -> None:
+        """Fold one rank's stats in (the distributed master's gather)."""
+        self.kernel_choices.update(rank.kernel_choices)
+        self.tasks_executed += rank.tasks_executed
+        self.tasks_per_proc.append(rank.tasks_executed)
+        self.seconds_total += rank.seconds_total
+        for key, sec in rank.seconds_by_type.items():
+            self.seconds_by_type[key] = self.seconds_by_type.get(key, 0.0) + sec
+        for name in ("flops_total", "pivots_replaced", "planned_tasks",
+                     "plan_bytes", "blocks_compressed", "lr_value_bytes",
+                     "messages_sent", "block_bytes_sent"):
+            setattr(self, name, getattr(self, name) + getattr(rank, name))
+        self.max_ready_depth = max(self.max_ready_depth, rank.max_ready_depth)
 
     def version_histogram(self) -> dict[str, int]:
         """Count of executed tasks per ``TYPE/VERSION`` label."""
@@ -333,7 +357,8 @@ def execute_task(
 
     Returns ``(replaced_pivots, planned)`` — the GESP diagnostic plus
     whether a plan (rather than the unplanned kernel) ran.  This is the
-    shared per-task entry point of all three engines.
+    per-task entry point of the executor's factor body, shared by every
+    engine.
 
     With a :class:`~repro.kernels.compress.CompressPolicy` (``None`` by
     default — the bit-identical path), two extra branches activate:
@@ -381,39 +406,11 @@ def execute_task(
     return 0, False
 
 
-def run_task(
-    f: BlockMatrix,
-    task: Task,
-    version: str,
-    ws: Workspace,
-    *,
-    pivot_floor: float = 0.0,
-    plans: PlanCache | None = None,
-    compress: CompressPolicy | None = None,
-) -> int:
-    """Execute one task with an explicit kernel version (in place).
-
-    Returns the number of statically-replaced pivots (GETRF only; 0 for
-    the other kernel roles) — the GESP diagnostic aggregated in
-    :class:`FactorizeStats`.  Pass ``plans`` to route the plannable
-    variants through cached execution plans (bit-identical result).
-    """
-    return execute_task(
-        f, task, version, ws, pivot_floor=pivot_floor, plans=plans, compress=compress
-    )[0]
-
-
-def push_ready(heap: list[tuple[int, int, int]], dag: TaskDAG, tid: int) -> None:
-    """Push a newly-ready task onto the priority heap."""
-    heapq.heappush(heap, ready_entry(dag.tasks[tid], tid))
-
-
 def factorize(
     f: BlockMatrix,
     dag: TaskDAG,
     options: NumericOptions | None = None,
     *,
-    collect_timings: bool = False,
     recorder: EventRecorder | None = None,
     checker=None,
 ) -> FactorizeStats:
@@ -423,59 +420,15 @@ def factorize(
     priority ``(k, task-type, tid)`` — the earliest elimination step
     first, which keeps the critical path moving (the paper: "each
     process always selects the most critical of the tasks to be
-    computed").  Pass an :class:`~repro.runtime.scheduler.EventRecorder`
+    computed").  This is the 1×1 lane shape of
+    :func:`repro.runtime.executor.execute`: the drain runs on the
+    calling thread.  Pass an :class:`~repro.runtime.scheduler.EventRecorder`
     to capture task/ready-depth events for Chrome-trace export, or a
     :class:`~repro.devtools.racecheck.RaceChecker` (``checker``) to
     audit the counter protocol as it runs.
     """
-    options = options or NumericOptions()
-    stats = FactorizeStats()
-    ws = Workspace()
-    plans = resolve_plan_cache(f, options)
-    compress = resolve_compress(options)
+    from ..runtime.executor import FactorBody, execute
+
+    body = FactorBody(f, dag.tasks, options or NumericOptions())
     core = SchedulerCore.from_dag(dag, recorder=recorder)
-    if checker is not None:
-        from ..devtools.racecheck import CheckedSchedulerCore
-
-        core = CheckedSchedulerCore.adopt(core, checker)
-    local = WorkerLocal()
-
-    t_start = time.perf_counter()
-    while (tid := core.pop()) is not None:
-        task = dag.tasks[tid]
-        feats = task_features(f, task)
-        ktype = _TTYPE_TO_KTYPE[task.ttype]
-        version = options.selector.select(ktype, feats)
-        t0 = time.perf_counter() if (collect_timings or recorder) else 0.0
-        replaced, planned = execute_task(
-            f, task, version, ws,
-            pivot_floor=options.pivot_floor, plans=plans, compress=compress,
-        )
-        if collect_timings or recorder:
-            t1 = time.perf_counter()
-            if collect_timings:
-                key = task.ttype.name
-                stats.seconds_by_type[key] = (
-                    stats.seconds_by_type.get(key, 0.0) + t1 - t0
-                )
-            if recorder:
-                recorder.task(
-                    0, f"{task.ttype.name}(k={task.k},{task.bi},{task.bj})",
-                    task.ttype.name, t0, t1, tid,
-                )
-        local.count(tid, f"{ktype.value}/{version}", replaced, planned)
-        stats.flops_total += task.flops
-        core.complete(tid)
-
-    local.merge_into(stats)
-    stats.seconds_total = time.perf_counter() - t_start
-    if plans is not None:
-        stats.plan_bytes = plans.nbytes
-    if compress is not None:
-        comp = f.compression_stats()
-        stats.blocks_compressed = comp["blocks_compressed"]
-        stats.lr_value_bytes = comp["lr_value_bytes"]
-    core.check("sequential")
-    if checker is not None:
-        checker.final_check(core)
-    return stats
+    return body.finish(execute(core, body, checker=checker, engine="sequential"))

@@ -16,10 +16,12 @@ Two execution paths share the same kernels
   solves, which have no DAG path);
 * the **scheduler path** — :func:`build_tsolve_dag(..., executable=True)
   <repro.core.tsolve_dag.build_tsolve_dag>` tasks drained through the
-  shared :class:`~repro.runtime.scheduler.SchedulerCore`, exactly like the
-  numeric phase.  :func:`tsolve_sequential` is the one-lane replay
-  (this module's analogue of :func:`repro.core.numeric.factorize`); the
-  threaded and distributed variants live in :mod:`repro.runtime` and are
+  shared :class:`~repro.runtime.scheduler.SchedulerCore` by the one
+  executor (:func:`repro.runtime.executor.execute`), exactly like the
+  numeric phase.  This module supplies the per-task work
+  (:func:`execute_tsolve_task`, :func:`tsolve_write_slots`) that the
+  executor's solve body runs, and :func:`tsolve_sequential`, the 1×1
+  lane shape; the threaded, distributed and hybrid shapes are
   dispatched by name through :mod:`repro.runtime.engines`.  Same-target
   updates are chained in the DAG, so every engine reproduces the loop
   sweeps' floating-point operation order bit-for-bit.
@@ -27,7 +29,6 @@ Two execution paths share the same kernels
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,8 +316,8 @@ def execute_tsolve_task(
 ) -> None:
     """Run one solve task against the forward/backward RHS arrays.
 
-    The shared per-task entry point of the sequential, threaded and
-    distributed solve engines (the phase-5 analogue of
+    The per-task entry point of the executor's solve body, shared by
+    every engine (the phase-5 analogue of
     :func:`repro.core.numeric.execute_task`).  ``f`` is anything exposing
     ``block_slice``/``block``/``block_order``/``block_slot`` — a
     :class:`BlockMatrix` or a distributed rank's local view.
@@ -365,41 +366,13 @@ def tsolve_sequential(
     (:class:`~repro.devtools.racecheck.RaceChecker`) to audit the
     single-writer discipline over RHS segments.
     """
+    from ..runtime.executor import SolveBody, execute, solve_stats
+
     if tdag is None:
         tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
     y = _check_rhs(f.n, b)
     x = np.empty_like(y)
-    t_start = time.perf_counter()
+    body = SolveBody(f, tdag, y, x, plans)
     core = tsolve_core(tdag, f.nb, recorder=recorder)
-    if checker is not None:
-        from ..devtools.racecheck import CheckedSchedulerCore
-
-        core = CheckedSchedulerCore.adopt(core, checker)
-    stats = TSolveStats(nrhs=1 if y.ndim == 1 else y.shape[1])
-    # pop/complete auditing is wired into the adopted core; only the
-    # write claims are reported here where the slots are known
-    while (tid := core.pop()) is not None:
-        slots = tsolve_write_slots(tdag, tid, f.nb)
-        if checker is not None:
-            for s in slots:
-                checker.begin_write(s, tid, 0)
-        t0 = recorder.now() if recorder else 0.0
-        try:
-            execute_tsolve_task(f, tdag, tid, y, x, plans)
-        finally:
-            if checker is not None:
-                for s in slots:
-                    checker.end_write(s, tid, 0)
-        if recorder:
-            recorder.task(
-                0, tsolve_task_label(tdag, tid),
-                _KIND_NAMES[int(tdag.kinds[tid])], t0, recorder.now(), tid,
-            )
-        core.complete(tid)
-        stats.tasks_executed += 1
-    core.check("tsolve-sequential")
-    if checker is not None:
-        checker.final_check(core)
-    stats.max_ready_depth = core.max_ready_depth
-    stats.seconds = time.perf_counter() - t_start
-    return x, stats
+    drain = execute(core, body, checker=checker, engine="tsolve-sequential")
+    return x, solve_stats(drain, y, engine="sequential")

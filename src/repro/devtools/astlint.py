@@ -4,7 +4,7 @@ A deliberately small rule framework: each rule is an object with a
 ``name``, a set of file patterns it applies to, and a ``check`` method
 that walks a parsed module and yields :class:`Finding`\\ s.  The rules
 themselves live in :mod:`repro.devtools.rules` and encode invariants of
-*this* codebase — the lock discipline of the threaded engine, the
+*this* codebase — the lock discipline of the executor, the
 counter protocol of :class:`~repro.runtime.scheduler.SchedulerCore`,
 kernel purity, transport message hygiene — none of which a generic
 linter can know about.

@@ -4,8 +4,8 @@ The counter protocol has four load-bearing invariants the engines must
 uphold at run time:
 
 1. **single writer** — each block slot has at most one writer task at
-   any instant (the threaded engine's per-block locks, the distributed
-   owner rule);
+   any instant (the executor's per-block and per-segment locks, the
+   distributed owner rule);
 2. **no negative counters** — every dependency counter reaches exactly
    zero (enforced unconditionally by
    :class:`~repro.runtime.scheduler.SchedulerCore` via
@@ -20,13 +20,14 @@ uphold at run time:
 opt-in (``SolverOptions.validate_concurrency=True`` or the
 ``REPRO_CHECK=1`` environment variable — see :func:`validation_enabled`)
 because the tracking adds a lock acquisition per scheduler event.  The
-engines call it directly where they know the worker id; single-lane
-engines can instead use :class:`CheckedSchedulerCore`, which wires the
-checker into ``pop``/``complete``.
+executor (:func:`repro.runtime.executor.execute`) calls it directly with
+the lane id for every engine; code that drives a bare core by hand can
+use :class:`CheckedSchedulerCore`, which wires the checker into
+``pop``/``complete``.
 
 A violation raises :class:`ConcurrencyViolation` naming the slot/task
 and both parties, and propagates through the engine's normal error path
-(the threaded pool quiesces; a distributed rank posts it to the master,
+(the executor's lanes quiesce; a distributed rank posts it to the master,
 which tears the pool down).
 """
 
@@ -67,8 +68,9 @@ class RaceChecker:
     post-mortems can read everything that fired even if the engine ate
     the exception.
 
-    ``worker`` arguments are lane identifiers: a thread id for the
-    threaded engine, a rank for the distributed one, 0 for sequential.
+    ``worker`` arguments are lane identifiers: a thread index for the
+    in-process engines (0 for sequential), a rank for the distributed
+    one, a rank's lane for writes inside a hybrid rank.
     """
 
     def __init__(self, *, label: str = "run") -> None:
@@ -176,10 +178,9 @@ class RaceChecker:
 
 class CheckedSchedulerCore(SchedulerCore):
     """A :class:`SchedulerCore` that reports every ``pop``/``complete``
-    to a :class:`RaceChecker`, attributing events to its ``lane`` —
-    the drop-in for single-lane engines (sequential, one distributed
-    rank).  Multi-worker engines call the checker directly with the real
-    worker id instead."""
+    to a :class:`RaceChecker`, attributing events to its ``lane`` — for
+    code that drives a core by hand.  The engines' executor calls the
+    checker directly with the lane id instead."""
 
     __slots__ = ("checker",)
 

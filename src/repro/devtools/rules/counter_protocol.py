@@ -8,10 +8,12 @@ paired with a ready-heap push, checked for underflow).  A raw store to
 race detector, so any such write outside ``runtime/scheduler.py`` (the
 one module allowed to implement the protocol) is flagged.
 
-The rule covers every scheduler consumer — the factorisation engines
-*and* the phase-5 triangular-solve path (``core/tsolve.py``, the
-``tsolve_threaded``/``tsolve_distributed`` engines), which drive the
-same :class:`SchedulerCore` over the solve DAG.
+The rule covers every scheduler consumer — above all the one executor
+(``runtime/executor.py``) whose drain every engine runs, for the
+factorisation and for the phase-5 triangular solves alike, and the
+entry points that build its cores (``core/numeric.py``,
+``core/tsolve.py``, ``core/schur.py``, the threaded and distributed
+lane shapes).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """``lock-discipline`` — guarded state is only touched under its lock.
 
-The threaded engine and the plan cache keep shared mutable state behind
+The executor and the plan cache keep shared mutable state behind
 a lock; which attribute belongs to which lock is *registered in the
 module itself* via a module-level declaration::
 
     __guarded_by__ = {
-        "cond": ("core.pop", "core.complete", "errors", "local.merge_into"),
+        "cond": ("core.pop", "core.complete", "errors", "body.merge"),
         "self._lock": ("self._plans",),
     }
 

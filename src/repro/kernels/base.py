@@ -94,20 +94,6 @@ class Workspace:
         v[...] = 0.0
         return v
 
-    def presize(
-        self, n: int, m: int | None = None, dtype: np.dtype | type = np.float64
-    ) -> None:
-        """Grow all scratch buffers to at least ``(n, m)`` up front.
-
-        Worker threads call this once with the block size (and the factor
-        dtype) before entering the task loop so no allocation (and no
-        allocator contention) happens inside the numeric hot path.
-        """
-        m = n if m is None else m
-        for which in ("a", "b", "c"):
-            self.dense(which, (n, m), dtype)
-        self.vector(n, dtype)
-
 
 def scatter_dense(block: CSCMatrix, out: np.ndarray) -> None:
     """Scatter the block values into ``out`` (must be zeroed, block-shaped)."""

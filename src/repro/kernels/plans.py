@@ -34,9 +34,9 @@ speed and use different summation orders.
 
 Plans are built lazily on first use and cached in a :class:`PlanCache`
 keyed by the storage slots of the participating blocks (patterns are
-immutable post-symbolic), shared by all three engines — sequential
-:func:`repro.core.numeric.factorize`, the threaded executor, and the
-distributed executor — and accounted by :func:`repro.core.memory.memory_report`.
+immutable post-symbolic), shared by every engine the executor runs
+(each distributed rank keeps its own) — and accounted by
+:func:`repro.core.memory.memory_report`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Distributed-memory synchronisation-free executor.
+"""Distributed-memory engines: the P×1 and P×T lane shapes of the executor.
 
-The closest in-repo analogue of PanguLU's MPI execution: the factorisation
-runs on ``n_procs`` ranks, each of which
+The closest in-repo analogue of PanguLU's MPI execution: the run is
+spread over ``n_procs`` ranks, each of which
 
 * initially holds **only the blocks it owns** under the configured
   :class:`~repro.core.placement.PlacementPolicy` (2D block-cyclic by
@@ -10,12 +10,20 @@ runs on ``n_procs`` ranks, each of which
   (earliest elimination step) ready task — the Section 4.4 discipline,
   run by a rank-local :class:`~repro.runtime.scheduler.SchedulerCore`
   restricted to the rank's own tasks;
-* on completing a panel task, **sends the factored block** to exactly the
-  processes that consume it, piggybacking the dependency-counter
-  decrement on the data message (the paper's "sends the sub-matrix block
-  to the other required process", Fig. 10 step 2c);
+* on completing a task, **sends its result** to exactly the ranks that
+  consume it, piggybacking the dependency-counter decrement on the data
+  message (the paper's "sends the sub-matrix block to the other required
+  process", Fig. 10 step 2c);
 * decrements counters and releases tasks on receipt (Fig. 10 step 3b) —
   no barriers, no global synchronisation of any kind.
+
+Each rank is one :func:`repro.runtime.executor.execute` call with the
+rank's endpoint: a receiver thread absorbs inbound messages while
+``n_threads`` lanes drain the rank's core (``n_threads > 1`` is the
+``"hybrid"`` engine, HYLU-style mixed parallelism).  Both phases share
+one rank entry point (:func:`_rank_main`) and one master routine
+(:func:`_run_ranks`); they differ only in the task body and in what a
+rank ships home — factored blocks, or solved ``x`` segments.
 
 The message substrate is a pluggable :class:`~repro.runtime.transports.
 Transport`: by default one OS process per rank with ``multiprocessing``
@@ -24,19 +32,7 @@ on the arena layout these are zero-copy slab slices, and the wire-byte
 accounting is unchanged because a view's ``nbytes`` is the slice's size);
 the in-process :class:`~repro.runtime.transports.LoopbackTransport` runs
 the identical protocol on threads for deterministic testing and fault
-injection.  The master scatters the owned blocks, gathers the factored
-ones back, and patches them into the caller's
-:class:`~repro.core.blocking.BlockMatrix`, so the result is
-indistinguishable from a sequential factorisation (asserted by the
-tests).
-
-With ``n_threads > 1`` each rank becomes a **hybrid** rank (HYLU-style
-mixed parallelism): a dedicated receiver thread absorbs inbound block
-messages while ``n_threads`` compute threads drain the rank's one shared
-:class:`~repro.runtime.scheduler.SchedulerCore` under a condition lock —
-the exact threading policy of :mod:`repro.runtime.threaded` — so the
-message protocol, trace lanes and RaceChecker instrumentation are reused
-unchanged.
+injection.
 
 This executor is about protocol fidelity, not speed: Python processes
 pay pickling costs that real MPI ranks do not.
@@ -45,85 +41,57 @@ pay pickling costs that real MPI ranks do not.
 from __future__ import annotations
 
 import logging
-import queue as queue_mod
-import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.blocking import BlockMatrix
-from ..core.dag import TaskDAG, TaskType
+from ..core.dag import TaskDAG
+from ..core.numeric import FactorizeStats, NumericOptions
 from ..core.placement import CyclicPlacement, PlacementPolicy
-from ..core.numeric import (
-    _TTYPE_TO_KTYPE,
-    NumericOptions,
-    execute_task,
-    resolve_compress,
-    task_features,
-)
-from ..core.tsolve import (
-    TSolveStats,
-    _check_rhs,
-    _KIND_NAMES,
-    execute_tsolve_task,
-    tsolve_core,
-    tsolve_task_label,
-    tsolve_write_slots,
-)
+from ..core.tsolve import _check_rhs, tsolve_core
 from ..core.tsolve_dag import TSolveDAG, TSolveTaskType
-from ..kernels.base import Workspace
+from ..kernels.plans import PlanCache
 from ..sparse.blockrep import CompressedBlock
 from ..sparse.csc import CSCMatrix
-from .scheduler import EventRecorder, SchedulerCore, ready_entry
+from .executor import Drain, FactorBody, SolveBody, execute, solve_stats
+from .scheduler import EventRecorder, SchedulerCore
 from .transports import (
-    Endpoint,
     MultiprocessingTransport,
     Transport,
     TransportStopped,
     TransportTimeout,
 )
 
-__all__ = ["DistributedStats", "factorize_distributed", "tsolve_distributed"]
+__all__ = ["factorize_distributed", "tsolve_distributed"]
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class DistributedStats:
-    """Accounting of one distributed factorisation."""
-
-    n_procs: int
-    tasks_per_proc: list[int]
-    messages_sent: int
-    block_bytes_sent: float
-    kernel_choices: dict[int, str] = field(default_factory=dict)
-    pivots_replaced: int = 0
-    planned_tasks: int = 0
-    blocks_compressed: int = 0
-    lr_value_bytes: int = 0
-
-
-def _block_nbytes(blk: CSCMatrix) -> int:
-    """Actual wire size of a block payload: the ``indptr``, ``indices``
-    and ``data`` arrays at their real dtypes."""
-    return blk.indptr.nbytes + blk.indices.nbytes + blk.data.nbytes
-
-
 class _LocalView:
-    """A worker's partial view of the block matrix.
+    """A rank's partial view of the block matrix.
 
-    Quacks like :class:`BlockMatrix` for the needs of ``run_task`` /
-    ``task_features`` (``block``/``block_slot``/``blk_values``), but holds
-    only owned + received blocks; touching an absent block is a protocol
-    bug and raises immediately.
+    Quacks like :class:`BlockMatrix` for the task bodies
+    (``block``/``block_slot``/``num_blocks``/``block_slice``, the
+    low-rank overlay, a plan cache), but holds only owned + received
+    blocks; touching an absent block is a protocol bug and raises
+    immediately.
     """
 
-    def __init__(self, boundaries: np.ndarray) -> None:
+    def __init__(
+        self, boundaries: np.ndarray, owned: list[tuple[int, int, CSCMatrix]]
+    ) -> None:
         self.boundaries = np.asarray(boundaries, dtype=np.int64)
         self.nb = self.boundaries.size - 1
         self.n = int(self.boundaries[-1])
+        self.plan_cache = None  # rank-local: plans address blocks held here
         self._blocks: dict[tuple[int, int], CSCMatrix] = {}
+        # storage slots: owned blocks first, so the write slots (tasks
+        # only write owned blocks) are 0 … num_blocks-1
+        self._slots: dict[tuple[int, int], int] = {}
+        for bi, bj, blk in owned:
+            self.add(bi, bj, blk)
+        self._owned = frozenset(self._slots)
         # low-rank overlay, same contract as BlockMatrix.lr_overlay: for
         # owned blocks it sits *beside* the exact CSC data; for received
         # panels it may be the only representation (the owner shipped
@@ -132,6 +100,15 @@ class _LocalView:
 
     def add(self, bi: int, bj: int, blk: CSCMatrix) -> None:
         self._blocks[(bi, bj)] = blk
+        self._slots.setdefault((bi, bj), len(self._slots))
+
+    @property
+    def num_blocks(self) -> int:
+        """Blocks this rank owns (received copies excluded)."""
+        return len(self._owned)
+
+    def owned_blocks(self) -> list[tuple[int, int, CSCMatrix]]:
+        return [(bi, bj, self._blocks[(bi, bj)]) for bi, bj in self._owned]
 
     def compressed_block(self, bi: int, bj: int) -> CompressedBlock | None:
         """The low-rank overlay of ``(bi, bj)``, or ``None``."""
@@ -148,6 +125,15 @@ class _LocalView:
         self._compressed[(bi, bj)] = cb
         return cb
 
+    def compression_stats(self) -> dict[str, int]:
+        """Overlays this rank computed itself (received copies would
+        double-count the owner's work across the pool)."""
+        mine = [cb for key, cb in self._compressed.items() if key in self._owned]
+        return {
+            "blocks_compressed": len(mine),
+            "lr_value_bytes": sum(cb.value_nbytes for cb in mine),
+        }
+
     def block(self, bi: int, bj: int) -> CSCMatrix:
         try:
             return self._blocks[(bi, bj)]
@@ -157,17 +143,9 @@ class _LocalView:
             ) from None
 
     def block_slot(self, bi: int, bj: int) -> int:
-        """Virtual storage slot: dense block-grid index.
-
-        Stable and unique per block coordinate, so it serves as a plan
-        cache key exactly like a real slot (each worker holds its own
-        cache — plans are process-local index arrays).
-        """
-        return bi * self.nb + bj
-
-    def block_start(self, b: int) -> int:
-        """First global row/column of block index ``b``."""
-        return int(self.boundaries[b])
+        """Rank-local storage slot, stable and unique per block held —
+        the lock index and plan cache key, exactly like a real slot."""
+        return self._slots[(bi, bj)]
 
     def block_order(self, b: int) -> int:
         """Row/column count of block index ``b``."""
@@ -178,332 +156,97 @@ class _LocalView:
         return slice(int(self.boundaries[b]), int(self.boundaries[b + 1]))
 
 
-def _block_payload(
-    view: _LocalView, tid: int, bi: int, bj: int
-) -> tuple[tuple, int]:
-    """``(payload, wire_bytes)`` for shipping block ``(bi, bj)``.
+def _owned_blocks(f: BlockMatrix, placement: PlacementPolicy, n_procs: int):
+    """Each rank's ``(bi, bj, block)`` list under ``placement``."""
+    owned: list[list[tuple[int, int, CSCMatrix]]] = [[] for _ in range(n_procs)]
+    for bj in range(f.nb):
+        rows, blocks = f.blocks_in_column(bj)
+        for bi, blk in zip(rows, blocks):
+            owned[placement.owner(int(bi), bj)].append((int(bi), bj, blk))
+    return owned
 
-    A compressed panel travels as its low-rank factors — tag ``"lr"``,
-    ``u.nbytes + v.nbytes`` real bytes (plus ``src_nnz`` so the receiver
-    computes the same :class:`~repro.kernels.selector.TaskFeatures` as
-    the owner) — everything else as the exact CSC triplet under tag
-    ``"csc"``.  This is where the compression actually saves wire
-    traffic: consumers of a rank-``r`` panel receive ``r·(m+n)`` values
-    instead of ``nnz`` values plus the index arrays.
-    """
-    cb = view.compressed_block(bi, bj)
-    if cb is not None:
-        return (tid, bi, bj, "lr", cb.u, cb.v, cb.src_nnz), (
-            cb.u.nbytes + cb.v.nbytes
+
+def _resolve_placement(placement, n_procs: int, n_threads: int) -> PlacementPolicy:
+    if n_procs < 1:
+        raise ValueError("need at least one process")
+    if n_threads < 1:
+        raise ValueError("need at least one thread per rank")
+    if placement is None:
+        return CyclicPlacement(n_procs)
+    if placement.nprocs != n_procs:
+        raise ValueError(
+            f"placement {placement.name!r} was built for "
+            f"{placement.nprocs} ranks, but {n_procs} were requested"
         )
-    target = view.block(bi, bj)
-    payload = (tid, bi, bj, "csc", target.indptr, target.indices, target.data)
-    return payload, _block_nbytes(target)
+    return placement
 
 
-def _worker_main(
-    rank: int,
-    endpoint: Endpoint,
-    boundaries: np.ndarray,
-    owned: list[tuple[int, int, CSCMatrix]],
-    tasks: list[tuple[int, int, int, int, int, int]],
-    successors: list[list[int]],
-    owner_of_task: np.ndarray,
-    pivot_floor: float,
-    use_plans: bool,
-    plan_entry_limit: int | None,
-    trace: bool,
-    validate: bool = False,
-    n_threads: int = 1,
-    compress_tol: float = 0.0,
-    compress_min_order: int = 32,
-) -> None:
-    """Worker loop: compute own tasks, exchange blocks, ship results back.
-
-    ``tasks[tid] = (ttype, k, bi, bj, n_deps, flops)``.  With
-    ``validate`` a rank-local :class:`~repro.devtools.racecheck.
-    RaceChecker` audits the counter protocol; a violation is posted to
-    the master as this rank's failure.  With ``n_threads > 1`` the rank
-    runs the hybrid mode: a receiver thread absorbs inbound messages
-    while ``n_threads`` compute threads share this rank's scheduler core
-    (the :mod:`repro.runtime.threaded` policy, per-target-block locks
-    included).  With ``compress_tol > 0`` the rank compresses its own
-    GESSM/TSTRF panel outputs and ships low-rank ``"lr"`` payloads to
-    their consumers; the gathered factors are unaffected (owners keep
-    and return the exact CSC arrays).
-    """
-    from ..core.dag import Task
-    from ..kernels.plans import PlanCache
-    from ..kernels.selector import SelectorPolicy
-
-    checker = None
-    if validate:
-        from ..devtools.racecheck import CheckedSchedulerCore, RaceChecker
-
-        checker = RaceChecker(label=f"rank {rank}")
-
-    view = _LocalView(boundaries)
-    owned_keys: set[tuple[int, int]] = set()
-    for bi, bj, blk in owned:
-        view.add(bi, bj, blk)
-        owned_keys.add((bi, bj))
-
-    selector = SelectorPolicy.default()
-    ws = Workspace()
-    # plans are rank-local: each process addresses only blocks it holds
-    plans = PlanCache(ssssm_entry_limit=plan_entry_limit) if use_plans else None
-    # the compression policy is rebuilt from the two scalars the master
-    # shipped (policies hold a selector tree — cheaper to reconstruct
-    # than to pickle) against this rank's own selector instance
-    compress = resolve_compress(NumericOptions(
-        selector=selector,
-        compress_tol=compress_tol,
-        compress_min_order=compress_min_order,
-    ))
-    recorder = EventRecorder() if trace else None
-
-    class _T:  # entry shim so ready_entry works on the serialised tuples
-        __slots__ = ("k", "ttype")
-
-        def __init__(self, k, ttype):
-            self.k, self.ttype = k, ttype
-
-    entries = [ready_entry(_T(t[1], t[0]), tid) for tid, t in enumerate(tasks)]
-    succ_arrays = [np.asarray(s, dtype=np.int64) for s in successors]
-    n_deps = np.asarray([t[4] for t in tasks], dtype=np.int64)
-    my_tasks = np.flatnonzero(owner_of_task == rank)
-    core = SchedulerCore(
-        entries, succ_arrays, n_deps,
-        owned=my_tasks, recorder=recorder, lane=rank,
+def _factor_rank(rank: int, spec: tuple, recorder):
+    """Core, body and report of one factorisation rank.  The report
+    ships the rank's factored owned blocks home with its stats; owners
+    keep the exact CSC arrays, so the gathered factors are
+    compression-free regardless of ``compress_tol``."""
+    boundaries, owned, dag, owner, options = spec
+    view = _LocalView(boundaries, owned)
+    core = SchedulerCore.from_dag(
+        dag, owned=np.flatnonzero(owner == rank), recorder=recorder, lane=rank,
     )
-    if checker is not None:
-        core = CheckedSchedulerCore.adopt(core, checker)
-    sent_msgs = 0
-    sent_bytes = 0
-    choices: dict[int, str] = {}
-    pivots = 0
-    planned_count = 0
+    body = FactorBody(view, dag.tasks, options, owner=owner, rank=rank)
 
-    def consumers(tid: int) -> set[int]:
-        return {int(owner_of_task[s]) for s in successors[tid]} - {rank}
+    def report(drain: Drain):
+        blocks = [(bi, bj, blk.data) for bi, bj, blk in view.owned_blocks()]
+        return body.finish(drain), blocks
 
-    def absorb(msg) -> None:
-        src_tid, bi, bj, tag = msg[:4]
-        if tag == "lr":
-            # low-rank panel: install the overlay only — there is no CSC
-            # representation of this block on the wire, and none is
-            # needed (its sole consumers are SSSSM reads, which the
-            # LR kernels serve straight from U/V)
-            u, v, src_nnz = msg[4:]
-            view.set_compressed(bi, bj, u, v, src_nnz=src_nnz)
-            nbytes = u.nbytes + v.nbytes
-        else:
-            indptr, indices, data = msg[4:]
-            # wrap the payload arrays directly (zero-copy): over loopback
-            # these are the sender's live block arrays — slab slices on
-            # the arena layout — and sent blocks are final (panel results
-            # are never rewritten), so aliasing them is safe; over
-            # multiprocessing they are fresh arrays off the queue
-            blk = CSCMatrix.from_views(
-                (view.block_order(bi), view.block_order(bj)),
-                indptr,
-                indices,
-                data,
-            )
-            view.add(bi, bj, blk)
-            nbytes = indptr.nbytes + indices.nbytes + data.nbytes
-        if recorder is not None:
-            recorder.recv(rank, int(owner_of_task[src_tid]), src_tid, nbytes)
-        core.complete(src_tid)  # remote predecessor: releases local tasks
+    return core, body, report
 
-    def run_single_lane() -> None:
-        nonlocal sent_msgs, sent_bytes, pivots, planned_count
-        while not core.done():
-            tid = core.pop()
-            if tid is None:
-                # nothing runnable: block for one message, then drain extras
-                absorb(endpoint.recv())
-                while True:
-                    try:
-                        absorb(endpoint.recv(block=False))
-                    except queue_mod.Empty:
-                        break
-                continue
-            ttype, k, bi, bj, _, flops = tasks[tid]
-            task = Task(tid, TaskType(ttype), k, bi, bj, flops)
-            feats = task_features(view, task)
-            ktype = _TTYPE_TO_KTYPE[task.ttype]
-            version = selector.select(ktype, feats)
-            t0 = time.perf_counter() if recorder else 0.0
-            slot = view.block_slot(bi, bj)
-            if checker is not None:
-                checker.begin_write(slot, tid, rank)
-            try:
-                replaced, planned = execute_task(
-                    view, task, version, ws, pivot_floor=pivot_floor,
-                    plans=plans, compress=compress,
-                )
-            finally:
-                if checker is not None:
-                    checker.end_write(slot, tid, rank)
-            if recorder is not None:
-                recorder.task(
-                    rank, f"{task.ttype.name}(k={k},{bi},{bj})",
-                    task.ttype.name, t0, time.perf_counter(), tid,
-                )
-            choices[tid] = f"{ktype.value}/{version}"
-            pivots += replaced
-            planned_count += int(planned)
-            core.complete(tid)
-            endpoint.on_task_executed(core.executed)
-            dests = consumers(tid)
-            if dests:
-                payload, nbytes = _block_payload(view, tid, bi, bj)
-                for w in dests:
-                    endpoint.send(w, payload)
-                    sent_msgs += 1
-                    sent_bytes += nbytes
-                    if recorder is not None:
-                        recorder.send(rank, w, tid, nbytes)
 
-    def run_hybrid() -> None:
-        nonlocal sent_msgs, sent_bytes, pivots, planned_count
-        cond = threading.Condition()
-        errors: list[BaseException] = []
-        # one lock per block this rank's tasks write (virtual slots)
-        slot_locks: dict[int, threading.Lock] = {}
-        for t in my_tasks:
-            slot_locks.setdefault(
-                view.block_slot(tasks[t][2], tasks[t][3]), threading.Lock()
-            )
-        # each remote task with a locally-owned successor sends exactly
-        # one message here, so the receiver's lifetime is a fixed count
-        expected = sum(
-            1
-            for t in range(len(tasks))
-            if owner_of_task[t] != rank
-            and any(owner_of_task[s] == rank for s in successors[t])
-        )
+def _solve_rank(rank: int, spec: tuple, recorder):
+    """Core, body and report of one triangular-solve rank.  The report
+    ships home the ``x`` segments the rank finished (its DIAG_B tasks)."""
+    boundaries, owned, tdag, b, use_plans = spec
+    view = _LocalView(boundaries, owned)
+    y = np.array(b, dtype=np.float64)
+    x = np.zeros_like(y)
+    my_tasks = np.flatnonzero(tdag.owner == rank)
+    core = tsolve_core(tdag, view.nb, owned=my_tasks, recorder=recorder, lane=rank)
+    body = SolveBody(
+        view, tdag, y, x, PlanCache() if use_plans else None,
+        owner=tdag.owner, rank=rank,
+    )
 
-        def receive() -> None:
-            for _ in range(expected):
-                try:
-                    msg = endpoint.recv()
-                except TransportStopped:
-                    return
-                with cond:
-                    absorb(msg)
-                    cond.notify_all()
-
-        def compute(wid: int) -> None:
-            nonlocal sent_msgs, sent_bytes, pivots, planned_count
-            ws_local = Workspace()
-            try:
-                while True:
-                    with cond:
-                        tid = core.pop()
-                        while tid is None and not core.done() and not errors:
-                            cond.wait()
-                            tid = core.pop()
-                        if errors or tid is None:
-                            return
-                    ttype, k, bi, bj, _, flops = tasks[tid]
-                    task = Task(tid, TaskType(ttype), k, bi, bj, flops)
-                    feats = task_features(view, task)
-                    ktype = _TTYPE_TO_KTYPE[task.ttype]
-                    version = selector.select(ktype, feats)
-                    t0 = time.perf_counter() if recorder else 0.0
-                    slot = view.block_slot(bi, bj)
-                    with slot_locks[slot]:
-                        if checker is not None:
-                            checker.begin_write(slot, tid, wid)
-                        try:
-                            replaced, planned = execute_task(
-                                view, task, version, ws_local,
-                                pivot_floor=pivot_floor, plans=plans,
-                                compress=compress,
-                            )
-                        finally:
-                            if checker is not None:
-                                checker.end_write(slot, tid, wid)
-                    if recorder is not None:
-                        recorder.task(
-                            rank, f"{task.ttype.name}(k={k},{bi},{bj})",
-                            task.ttype.name, t0, time.perf_counter(), tid,
-                        )
-                    with cond:
-                        choices[tid] = f"{ktype.value}/{version}"
-                        pivots += replaced
-                        planned_count += int(planned)
-                        newly_ready = core.complete(tid)
-                        if core.done():
-                            cond.notify_all()
-                        elif newly_ready:
-                            cond.notify(newly_ready)
-                    endpoint.on_task_executed(core.executed)
-                    dests = consumers(tid)
-                    if dests:
-                        # panel results are final (the panel is its
-                        # block's last writer), so the live arrays are
-                        # stable by the time any consumer reads them
-                        payload, nbytes = _block_payload(view, tid, bi, bj)
-                        for w in dests:
-                            endpoint.send(w, payload)
-                            with cond:
-                                sent_msgs += 1
-                                sent_bytes += nbytes
-                            if recorder is not None:
-                                recorder.send(rank, w, tid, nbytes)
-            except BaseException as exc:  # surface via the master
-                with cond:
-                    errors.append(exc)
-                    cond.notify_all()
-
-        rx = threading.Thread(target=receive, daemon=True)
-        rx.start()
-        pool = [
-            threading.Thread(target=compute, args=(wid,), daemon=True)
-            for wid in range(n_threads)
+    def report(drain: Drain):
+        xparts = [
+            (int(tdag.target[t]), np.array(x[view.block_slice(int(tdag.target[t]))]))
+            for t in my_tasks
+            if int(tdag.kinds[t]) == TSolveTaskType.DIAG_B
         ]
-        for th in pool:
-            th.start()
-        for th in pool:
-            th.join()
-        if errors:
-            raise errors[0]
+        return drain, xparts
 
+    return core, body, report
+
+
+def _rank_main(
+    rank: int, endpoint, setup, spec: tuple, n_threads: int, trace: bool,
+    validate: bool,
+) -> None:
+    """One rank of either phase: build its core and body, drain them
+    against the endpoint, post the report to the master.  With
+    ``validate`` a rank-local :class:`~repro.devtools.racecheck.
+    RaceChecker` audits the counter protocol; a violation is posted as
+    this rank's failure."""
     try:
-        if n_threads > 1:
-            run_hybrid()
-        else:
-            run_single_lane()
-        if checker is not None:
-            checker.final_check(core)
-        # ship factored owned blocks home (received operand copies stay);
-        # owners always keep the exact CSC arrays, so the gathered
-        # factors are compression-free regardless of compress_tol
-        out = [
-            (bi, bj, blk.indptr, blk.indices, blk.data)
-            for (bi, bj), blk in view._blocks.items()
-            if (bi, bj) in owned_keys
-        ]
-        # overlays this rank computed itself (received copies would
-        # double-count the owner's work across the pool)
-        n_compressed = sum(
-            1 for key in view._compressed if key in owned_keys
+        checker = None
+        if validate:
+            from ..devtools.racecheck import RaceChecker
+
+            checker = RaceChecker(label=f"rank {rank}")
+        recorder = EventRecorder() if trace else None
+        core, body, report = setup(rank, spec, recorder)
+        drain = execute(
+            core, body, n_threads=n_threads, endpoint=endpoint,
+            checker=checker, engine=f"rank {rank}",
         )
-        lr_bytes = sum(
-            cb.value_nbytes
-            for key, cb in view._compressed.items()
-            if key in owned_keys
-        )
-        endpoint.post_result(
-            (
-                "ok", rank, int(my_tasks.size), sent_msgs, sent_bytes, out,
-                choices, pivots, planned_count, n_compressed, lr_bytes,
-                recorder,
-            )
-        )
+        endpoint.post_result(("ok", rank, report(drain), recorder))
     except TransportStopped:  # master tore the pool down; exit quietly
         return
     except BaseException as exc:
@@ -519,6 +262,46 @@ def _worker_main(
             )
 
 
+def _run_ranks(
+    setup, specs: list[tuple], *, what: str, n_threads: int,
+    transport: Transport | None, timeout: float,
+    recorder: EventRecorder | None, validate: bool,
+) -> list:
+    """Start one rank per spec, gather their reports (in rank order) and
+    merge their trace events into ``recorder``.  A failed rank can no
+    longer feed its consumers, so the first error — or a missing result
+    after ``timeout`` — tears the whole pool down and raises."""
+    transport = transport or MultiprocessingTransport()
+    transport.start(
+        len(specs), _rank_main,
+        lambda rank: (setup, specs[rank], n_threads, recorder is not None, validate),
+    )
+    reports: list = [None] * len(specs)
+    errors: list[str] = []
+    for _ in specs:
+        try:
+            msg = transport.get_result(timeout)
+        except TransportTimeout as exc:
+            transport.terminate()
+            transport.join(timeout=5)
+            raise RuntimeError(
+                f"distributed {what} timed out after {timeout}s "
+                f"(ranks no longer alive: {exc.dead_ranks}) — "
+                "worker crash or deadlock"
+            ) from None
+        if msg[0] == "error":
+            errors.append(f"rank {msg[1]}: {msg[2]}")
+            transport.terminate()
+            break
+        _, rank, reports[rank], rank_recorder = msg
+        if recorder is not None and rank_recorder is not None:
+            recorder.merge(rank_recorder)
+    transport.join(timeout=30)
+    if errors:
+        raise RuntimeError("; ".join(errors))
+    return reports
+
+
 def factorize_distributed(
     f: BlockMatrix,
     dag: TaskDAG,
@@ -531,7 +314,7 @@ def factorize_distributed(
     validate: bool = False,
     placement: PlacementPolicy | None = None,
     n_threads: int = 1,
-) -> DistributedStats:
+) -> FactorizeStats:
     """Factorise ``f`` in place across ``n_procs`` ranks.
 
     Tasks and block storage follow the block→rank map of ``placement``
@@ -539,9 +322,10 @@ def factorize_distributed(
     selects the paper's 2D block-cyclic rule).  The load balancer is not
     applied here: migrating a task away from its block's owner would
     require remote writes, which the message protocol — like PanguLU's —
-    does not do for targets.  With ``n_threads > 1`` each rank drives a
-    pool of that many compute threads over its shared scheduler core
-    (the ``"hybrid"`` engine).
+    does not do for targets.  With ``n_threads > 1`` each rank drives
+    that many compute lanes over its scheduler core (the ``"hybrid"``
+    engine).  Finished panels travel as their CSC arrays, or as their
+    low-rank factors when ``options.compress_tol > 0`` compressed them.
 
     ``transport`` selects the message substrate: the default
     :class:`~repro.runtime.transports.MultiprocessingTransport` (one OS
@@ -558,385 +342,23 @@ def factorize_distributed(
     surface as that rank's error instead of silent corruption.
     """
     options = options or NumericOptions()
-    if n_procs < 1:
-        raise ValueError("need at least one process")
-    if n_threads < 1:
-        raise ValueError("need at least one thread per rank")
-    if placement is None:
-        placement = CyclicPlacement(n_procs)
-    elif placement.nprocs != n_procs:
-        raise ValueError(
-            f"placement {placement.name!r} was built for "
-            f"{placement.nprocs} ranks, but {n_procs} were requested"
-        )
-    owner_of_block: dict[tuple[int, int], int] = {}
-    for bj in range(f.nb):
-        rows, _ = f.blocks_in_column(bj)
-        for bi in rows:
-            owner_of_block[(int(bi), bj)] = placement.owner(int(bi), bj)
-    owner_of_task = np.asarray(
-        [owner_of_block[(t.bi, t.bj)] for t in dag.tasks], dtype=np.int64
+    placement = _resolve_placement(placement, n_procs, n_threads)
+    owned = _owned_blocks(f, placement, n_procs)
+    owner = np.asarray(
+        [placement.owner(t.bi, t.bj) for t in dag.tasks], dtype=np.int64
     )
-
-    tasks = [
-        (int(t.ttype), t.k, t.bi, t.bj, t.n_deps, t.flops) for t in dag.tasks
-    ]
-    successors = [t.successors for t in dag.tasks]
-
-    owned_per_rank: list[list[tuple[int, int, CSCMatrix]]] = [
-        [] for _ in range(n_procs)
-    ]
-    for (bi, bj), rank in owner_of_block.items():
-        owned_per_rank[rank].append((bi, bj, f.block(bi, bj)))
-
-    transport = transport or MultiprocessingTransport()
-
-    def args_of_rank(rank: int) -> tuple:
-        return (
-            f.boundaries, owned_per_rank[rank], tasks, successors,
-            owner_of_task, options.pivot_floor, options.use_plans,
-            options.plan_entry_limit, recorder is not None, validate,
-            n_threads, options.compress_tol, options.compress_min_order,
-        )
-
-    transport.start(n_procs, _worker_main, args_of_rank)
-
-    stats = DistributedStats(
-        n_procs=n_procs,
-        tasks_per_proc=[0] * n_procs,
-        messages_sent=0,
-        block_bytes_sent=0.0,
+    reports = _run_ranks(
+        _factor_rank,
+        [(f.boundaries, owned[r], dag, owner, options) for r in range(n_procs)],
+        what="factorisation", n_threads=n_threads, transport=transport,
+        timeout=timeout, recorder=recorder, validate=validate,
     )
-    errors: list[str] = []
-    for _ in range(n_procs):
-        try:
-            msg = transport.get_result(timeout)
-        except TransportTimeout as exc:
-            transport.terminate()
-            transport.join(timeout=5)
-            raise RuntimeError(
-                f"distributed factorisation timed out after {timeout}s "
-                f"(ranks no longer alive: {exc.dead_ranks}) — "
-                "worker crash or deadlock"
-            ) from None
-        if msg[0] == "error":
-            # a failed rank can no longer feed its consumers, so the rest
-            # of the pool would block forever on their inboxes — tear the
-            # whole pool down immediately and surface the failure
-            errors.append(f"rank {msg[1]}: {msg[2]}")
-            transport.terminate()
-            break
-        (_, rank, ntasks, sent, nbytes, blocks, choices, pivots,
-         planned, n_compressed, lr_bytes, rank_recorder) = msg
-        stats.tasks_per_proc[rank] = ntasks
-        stats.messages_sent += sent
-        stats.block_bytes_sent += nbytes
-        stats.kernel_choices.update(choices)
-        stats.pivots_replaced += pivots
-        stats.planned_tasks += planned
-        stats.blocks_compressed += n_compressed
-        stats.lr_value_bytes += lr_bytes
-        if recorder is not None and rank_recorder is not None:
-            recorder.merge(rank_recorder)
-        for bi, bj, _indptr, _indices, data in blocks:
-            if owner_of_block.get((bi, bj)) != rank:
-                continue  # received operand copy, not authoritative
+    stats = FactorizeStats(n_workers=n_threads, n_procs=n_procs)
+    for rank_stats, blocks in reports:
+        stats.merge(rank_stats)
+        for bi, bj, data in blocks:
             f.block(bi, bj).data[...] = data
-    transport.join(timeout=30)
-    if errors:
-        raise RuntimeError("; ".join(errors))
     return stats
-
-
-# ----------------------------------------------------------------------
-# distributed triangular solve (phase 5 over the same transports)
-# ----------------------------------------------------------------------
-
-def _tsolve_worker_main(
-    rank: int,
-    endpoint: Endpoint,
-    boundaries: np.ndarray,
-    owned: list[tuple[int, int, CSCMatrix]],
-    dag_arrays: tuple,
-    b: np.ndarray,
-    use_plans: bool,
-    trace: bool,
-    validate: bool = False,
-    n_threads: int = 1,
-) -> None:
-    """Solve-phase worker loop: run owned solve tasks, exchange RHS
-    segments, ship solved ``x`` segments back.
-
-    Each message carries the *segment* a task just wrote (real byte
-    accounting: the segment array's ``nbytes``).  Because transports only
-    order messages per sender, a slow producer's payload can arrive after
-    a newer write to the same segment already landed; the per-task write
-    sequence numbers (``seq_y``/``seq_x`` of the executable DAG) make the
-    receive path idempotent — stale payloads still decrement the
-    dependency counter but no longer touch the array.
-    """
-    (kinds, k_of, target, n_deps, successors, owner_of_task,
-     seq_y, seq_x) = dag_arrays
-    tdag = TSolveDAG(
-        kinds=kinds, k_of=k_of, target=target,
-        flops=np.zeros(len(kinds)), out_bytes=np.zeros(len(kinds)),
-        n_deps=n_deps, successors=successors, owner=owner_of_task,
-        total_flops=0.0, seq_y=seq_y, seq_x=seq_x,
-    )
-    checker = None
-    if validate:
-        from ..devtools.racecheck import CheckedSchedulerCore, RaceChecker
-
-        checker = RaceChecker(label=f"rank {rank}")
-
-    view = _LocalView(boundaries)
-    for bi, bj, blk in owned:
-        view.add(bi, bj, blk)
-
-    from ..kernels.plans import PlanCache
-
-    plans = PlanCache() if use_plans else None
-    recorder = EventRecorder() if trace else None
-    y = np.array(b, dtype=np.float64)
-    x = np.zeros_like(y)
-    my_tasks = np.flatnonzero(owner_of_task == rank)
-    core = tsolve_core(
-        tdag, view.nb, owned=my_tasks, recorder=recorder, lane=rank
-    )
-    if checker is not None:
-        core = CheckedSchedulerCore.adopt(core, checker)
-
-    # highest write-sequence applied per segment of each RHS array —
-    # local writes and accepted messages both advance it
-    applied_y: dict[int, int] = {}
-    applied_x: dict[int, int] = {}
-    sent_msgs = 0
-    sent_bytes = 0
-
-    def seg_of(tgt: int) -> slice:
-        return view.block_slice(tgt)
-
-    def mark_written(tid: int, tgt: int) -> None:
-        if seq_y[tid] >= 0:
-            applied_y[tgt] = max(applied_y.get(tgt, -1), int(seq_y[tid]))
-        if seq_x[tid] >= 0:
-            applied_x[tgt] = max(applied_x.get(tgt, -1), int(seq_x[tid]))
-
-    def absorb(msg) -> None:
-        src_tid, tgt, arr = msg
-        seg = seg_of(tgt)
-        if seq_y[src_tid] >= 0 and seq_y[src_tid] > applied_y.get(tgt, -1):
-            y[seg] = arr
-            applied_y[tgt] = int(seq_y[src_tid])
-        if seq_x[src_tid] >= 0 and seq_x[src_tid] > applied_x.get(tgt, -1):
-            # a DIAG_F payload doubles as the backward seed (x = y there)
-            x[seg] = arr
-            applied_x[tgt] = int(seq_x[src_tid])
-        if recorder is not None:
-            recorder.recv(rank, int(owner_of_task[src_tid]), src_tid, arr.nbytes)
-        core.complete(src_tid)  # remote predecessor: releases local tasks
-
-    def consumers(tid: int) -> set[int]:
-        return {int(owner_of_task[s]) for s in successors[tid]} - {rank}
-
-    def run_single_lane() -> None:
-        nonlocal sent_msgs, sent_bytes
-        while not core.done():
-            tid = core.pop()
-            if tid is None:
-                absorb(endpoint.recv())
-                while True:
-                    try:
-                        absorb(endpoint.recv(block=False))
-                    except queue_mod.Empty:
-                        break
-                continue
-            kind = int(kinds[tid])
-            tgt = int(target[tid])
-            slots = tsolve_write_slots(tdag, tid, view.nb)
-            t0 = time.perf_counter() if recorder else 0.0
-            if checker is not None:
-                for s in slots:
-                    checker.begin_write(s, tid, rank)
-            try:
-                execute_tsolve_task(view, tdag, tid, y, x, plans)
-            finally:
-                if checker is not None:
-                    for s in slots:
-                        checker.end_write(s, tid, rank)
-            mark_written(tid, tgt)
-            if recorder is not None:
-                recorder.task(
-                    rank, tsolve_task_label(tdag, tid), _KIND_NAMES[kind],
-                    t0, time.perf_counter(), tid,
-                )
-            core.complete(tid)
-            endpoint.on_task_executed(core.executed)
-            dests = consumers(tid)
-            if dests:
-                seg = seg_of(tgt)
-                # y for forward writers (a DIAG_F seed equals its y), the
-                # x segment for backward writers
-                arr = np.array(y[seg] if kind in (
-                    TSolveTaskType.DIAG_F, TSolveTaskType.UPD_F
-                ) else x[seg])
-                for w in dests:
-                    endpoint.send(w, (tid, tgt, arr))
-                    sent_msgs += 1
-                    sent_bytes += arr.nbytes
-                    if recorder is not None:
-                        recorder.send(rank, w, tid, arr.nbytes)
-
-    def run_hybrid() -> None:
-        nonlocal sent_msgs, sent_bytes
-        cond = threading.Condition()
-        errors: list[BaseException] = []
-        # y slots [0, nb), x slots [nb, 2·nb) — same layout as
-        # tsolve_write_slots, shared by writers and the receiver
-        seg_locks = [threading.Lock() for _ in range(2 * view.nb)]
-        expected = sum(
-            1
-            for t in range(len(kinds))
-            if owner_of_task[t] != rank
-            and any(owner_of_task[s] == rank for s in successors[t])
-        )
-
-        def absorb_locked(msg) -> None:
-            src_tid, tgt, arr = msg
-            seg = seg_of(tgt)
-            if seq_y[src_tid] >= 0:
-                with seg_locks[tgt]:
-                    if seq_y[src_tid] > applied_y.get(tgt, -1):
-                        y[seg] = arr
-                        applied_y[tgt] = int(seq_y[src_tid])
-            if seq_x[src_tid] >= 0:
-                with seg_locks[view.nb + tgt]:
-                    if seq_x[src_tid] > applied_x.get(tgt, -1):
-                        x[seg] = arr
-                        applied_x[tgt] = int(seq_x[src_tid])
-            if recorder is not None:
-                recorder.recv(
-                    rank, int(owner_of_task[src_tid]), src_tid, arr.nbytes
-                )
-            with cond:
-                core.complete(src_tid)
-                cond.notify_all()
-
-        def receive() -> None:
-            for _ in range(expected):
-                try:
-                    msg = endpoint.recv()
-                except TransportStopped:
-                    return
-                absorb_locked(msg)
-
-        def compute(wid: int) -> None:
-            nonlocal sent_msgs, sent_bytes
-            try:
-                while True:
-                    with cond:
-                        tid = core.pop()
-                        while tid is None and not core.done() and not errors:
-                            cond.wait()
-                            tid = core.pop()
-                        if errors or tid is None:
-                            return
-                    kind = int(kinds[tid])
-                    tgt = int(target[tid])
-                    slots = tsolve_write_slots(tdag, tid, view.nb)
-                    dests = consumers(tid)
-                    t0 = time.perf_counter() if recorder else 0.0
-                    payload = None
-                    for s in slots:
-                        seg_locks[s].acquire()
-                    if checker is not None:
-                        for s in slots:
-                            checker.begin_write(s, tid, wid)
-                    try:
-                        execute_tsolve_task(view, tdag, tid, y, x, plans)
-                        mark_written(tid, tgt)
-                        if dests:
-                            # snapshot the outgoing segment while the
-                            # write locks are still held: once the task
-                            # completes, a chained successor writer on
-                            # another thread may overwrite it before the
-                            # send reads it
-                            seg = seg_of(tgt)
-                            payload = np.array(y[seg] if kind in (
-                                TSolveTaskType.DIAG_F, TSolveTaskType.UPD_F
-                            ) else x[seg])
-                    finally:
-                        if checker is not None:
-                            for s in slots:
-                                checker.end_write(s, tid, wid)
-                        for s in reversed(slots):
-                            seg_locks[s].release()
-                    if recorder is not None:
-                        recorder.task(
-                            rank, tsolve_task_label(tdag, tid),
-                            _KIND_NAMES[kind], t0, time.perf_counter(), tid,
-                        )
-                    with cond:
-                        newly_ready = core.complete(tid)
-                        if core.done():
-                            cond.notify_all()
-                        elif newly_ready:
-                            cond.notify(newly_ready)
-                    endpoint.on_task_executed(core.executed)
-                    for w in dests:
-                        endpoint.send(w, (tid, tgt, payload))
-                        with cond:
-                            sent_msgs += 1
-                            sent_bytes += payload.nbytes
-                        if recorder is not None:
-                            recorder.send(rank, w, tid, payload.nbytes)
-            except BaseException as exc:  # surface via the master
-                with cond:
-                    errors.append(exc)
-                    cond.notify_all()
-
-        rx = threading.Thread(target=receive, daemon=True)
-        rx.start()
-        pool = [
-            threading.Thread(target=compute, args=(wid,), daemon=True)
-            for wid in range(n_threads)
-        ]
-        for th in pool:
-            th.start()
-        for th in pool:
-            th.join()
-        if errors:
-            raise errors[0]
-
-    try:
-        if n_threads > 1:
-            run_hybrid()
-        else:
-            run_single_lane()
-        if checker is not None:
-            checker.final_check(core)
-        # ship home the x segments this rank finished (its DIAG_B tasks)
-        xparts = [
-            (int(target[t]), np.array(x[seg_of(int(target[t]))]))
-            for t in my_tasks
-            if int(kinds[t]) == TSolveTaskType.DIAG_B
-        ]
-        endpoint.post_result(
-            ("ok", rank, int(core.executed), sent_msgs, sent_bytes,
-             xparts, recorder)
-        )
-    except TransportStopped:  # master tore the pool down; exit quietly
-        return
-    except BaseException as exc:
-        try:
-            endpoint.post_result(("error", rank, repr(exc)))
-        except (OSError, ValueError, TransportStopped) as post_exc:
-            # pragma: no cover - result channel gone (master died or
-            # closed the queue); log both failures before exiting
-            logger.error(
-                "tsolve rank %d failed with %r and could not report it "
-                "(result channel gone: %r)", rank, exc, post_exc,
-            )
 
 
 def tsolve_distributed(
@@ -962,93 +384,44 @@ def tsolve_distributed(
     updates on the off-diagonal block's owner, so factor blocks stay put
     and only RHS segments travel.  Messages carry real segment bytes
     (``arr.nbytes``), accounted in the returned stats; the write-sequence
-    guard of :func:`_tsolve_worker_main` keeps out-of-order deliveries
-    harmless, so the gathered solution is bit-identical to
-    :func:`repro.core.tsolve.tsolve_sequential`.  With ``n_threads > 1``
-    each rank drains its scheduler core with a thread pool (the
-    ``"hybrid"`` engine).  ``transport`` / ``timeout`` / ``recorder`` /
-    ``validate`` behave exactly as in :func:`factorize_distributed`.
-    Returns ``(x, TSolveStats)``.
+    guard of :class:`~repro.runtime.executor.SolveBody` keeps
+    out-of-order deliveries harmless, so the gathered solution is
+    bit-identical to :func:`repro.core.tsolve.tsolve_sequential`.  With
+    ``n_threads > 1`` each rank drains its scheduler core with that many
+    lanes (the ``"hybrid"`` engine).  ``transport`` / ``timeout`` /
+    ``recorder`` / ``validate`` behave exactly as in
+    :func:`factorize_distributed`.  Returns ``(x, TSolveStats)``.
     """
-    if n_procs < 1:
-        raise ValueError("need at least one process")
-    if n_threads < 1:
-        raise ValueError("need at least one thread per rank")
+    placement = _resolve_placement(placement, n_procs, n_threads)
     if tdag.seq_y is None:
         raise ValueError("tsolve_distributed needs an executable solve DAG "
                          "(build_tsolve_dag(..., executable=True))")
     y0 = _check_rhs(f.n, b)
-    if placement is None:
-        placement = CyclicPlacement(n_procs)
-    elif placement.nprocs != n_procs:
-        raise ValueError(
-            f"placement {placement.name!r} was built for "
-            f"{placement.nprocs} ranks, but {n_procs} were requested"
-        )
-    owned_per_rank: list[list[tuple[int, int, CSCMatrix]]] = [
-        [] for _ in range(n_procs)
-    ]
-    for bj in range(f.nb):
-        rows, blocks = f.blocks_in_column(bj)
-        for bi, blk in zip(rows, blocks):
-            owned_per_rank[placement.owner(int(bi), bj)].append(
-                (int(bi), bj, blk)
-            )
-
-    dag_arrays = (
-        tdag.kinds, tdag.k_of, tdag.target, tdag.n_deps,
-        tdag.successors, tdag.owner, tdag.seq_y, tdag.seq_x,
-    )
-    transport = transport or MultiprocessingTransport()
-
-    def args_of_rank(rank: int) -> tuple:
-        return (
-            f.boundaries, owned_per_rank[rank], dag_arrays, y0,
-            use_plans, recorder is not None, validate, n_threads,
-        )
-
+    owned = _owned_blocks(f, placement, n_procs)
     t_start = time.perf_counter()
-    transport.start(n_procs, _tsolve_worker_main, args_of_rank)
-
-    stats = TSolveStats(
-        engine="distributed" if n_threads == 1 else "hybrid",
-        n_procs=n_procs,
-        nrhs=1 if y0.ndim == 1 else y0.shape[1],
+    reports = _run_ranks(
+        _solve_rank,
+        [(f.boundaries, owned[r], tdag, y0, use_plans) for r in range(n_procs)],
+        what="tsolve", n_threads=n_threads, transport=transport,
+        timeout=timeout, recorder=recorder, validate=validate,
     )
+    total = Drain()
     x = np.empty_like(y0)
     filled = np.zeros(f.nb, dtype=bool)
-    errors: list[str] = []
-    for _ in range(n_procs):
-        try:
-            msg = transport.get_result(timeout)
-        except TransportTimeout as exc:
-            transport.terminate()
-            transport.join(timeout=5)
-            raise RuntimeError(
-                f"distributed tsolve timed out after {timeout}s "
-                f"(ranks no longer alive: {exc.dead_ranks}) — "
-                "worker crash or deadlock"
-            ) from None
-        if msg[0] == "error":
-            errors.append(f"rank {msg[1]}: {msg[2]}")
-            transport.terminate()
-            break
-        _, rank, ntasks, sent, nbytes, xparts, rank_recorder = msg
-        stats.tasks_executed += ntasks
-        stats.messages_sent += sent
-        stats.seg_bytes_sent += nbytes
-        if recorder is not None and rank_recorder is not None:
-            recorder.merge(rank_recorder)
+    for drain, xparts in reports:
+        total.merge(drain)
         for k, arr in xparts:
             x[f.block_slice(k)] = arr
             filled[k] = True
-    transport.join(timeout=30)
-    if errors:
-        raise RuntimeError("; ".join(errors))
     if not np.all(filled):
         raise RuntimeError(
             f"distributed tsolve returned {int(filled.sum())} of {f.nb} "
             "solution segments"
         )
+    stats = solve_stats(
+        total, y0,
+        engine="distributed" if n_threads == 1 else "hybrid",
+        n_procs=n_procs, n_workers=n_threads,
+    )
     stats.seconds = time.perf_counter() - t_start
     return x, stats

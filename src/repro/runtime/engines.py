@@ -1,8 +1,10 @@
 """Execution-engine registry.
 
-One engine = one way of draining the task DAG through the shared
-:class:`~repro.runtime.scheduler.SchedulerCore`.  The registry maps the
-``SolverOptions.engine`` string to a callable with the uniform signature
+One engine = one lane shape of the executor
+(:func:`repro.runtime.executor.execute`) draining the task DAG through
+the shared :class:`~repro.runtime.scheduler.SchedulerCore`.  The
+registry maps the ``SolverOptions.engine`` string to a callable with the
+uniform signature
 
 ``engine(blocks, dag, solver_options, *, recorder=None, placement=None)
 -> FactorizeStats``
@@ -27,17 +29,18 @@ registered via :func:`register_tsolve_engine` and dispatched by the
 subsequent solve.  All engines produce bit-identical solutions (the
 solve DAG totally orders each RHS segment's writers).
 
-Built-ins (both registries):
+Built-ins (both registries), as ranks × threads per rank:
 
 ========== ==========================================================
-name        substrate
+name        lane shape
 ========== ==========================================================
-sequential  one thread, one core (the correctness reference)
-threaded    ``options.n_workers`` threads sharing one core
-distributed ``options.nprocs`` ranks over a message transport
-hybrid      ``options.nprocs`` ranks × ``options.n_workers`` threads
-            per rank, each rank's thread pool draining one shared
-            scheduler core (HYLU-style mixed parallelism)
+sequential  1×1 in-process, on the calling thread (the correctness
+            reference)
+threaded    1 × ``options.n_workers`` in-process threads sharing one core
+distributed ``options.nprocs`` × 1 ranks over a message transport
+hybrid      ``options.nprocs`` × ``options.n_workers``: each rank's
+            lanes drain one shared scheduler core (HYLU-style mixed
+            parallelism)
 ========== ==========================================================
 """
 
@@ -45,8 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..core.numeric import FactorizeStats, factorize, resolve_plan_cache
-from ..core.tsolve import TSolveStats, tsolve_sequential
+from ..core.numeric import FactorizeStats, resolve_plan_cache
 from .distributed import factorize_distributed, tsolve_distributed
 from .scheduler import EventRecorder
 from .threaded import factorize_threaded, tsolve_threaded
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 _ENGINES: dict[str, Callable] = {}
+_TSOLVE_ENGINES: dict[str, Callable] = {}
 
 
 def register_engine(name: str) -> Callable[[Callable], Callable]:
@@ -87,118 +90,6 @@ def get_engine(name: str) -> Callable:
 def available_engines() -> list[str]:
     """Sorted names of all registered engines."""
     return sorted(_ENGINES)
-
-
-def _compression_counters(f, options) -> tuple[int, int]:
-    """``(blocks_compressed, lr_value_bytes)`` of a local engine run —
-    read off the structure's overlay after the fact.  ``(0, 0)`` with
-    compression disabled or on structures without an overlay."""
-    if getattr(options.numeric, "compress_tol", 0.0) <= 0.0:
-        return 0, 0
-    stats = getattr(f, "compression_stats", None)
-    if stats is None:
-        return 0, 0
-    comp = stats()
-    return comp["blocks_compressed"], comp["lr_value_bytes"]
-
-
-def _resolve_checker(options, label: str):
-    """A fresh :class:`~repro.devtools.racecheck.RaceChecker` when the
-    options (or the ``REPRO_CHECK`` environment variable) request
-    concurrency validation, else ``None``."""
-    from ..devtools.racecheck import RaceChecker, validation_enabled
-
-    if not validation_enabled(options):
-        return None
-    return RaceChecker(label=label)
-
-
-@register_engine("sequential")
-def _sequential(
-    f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> FactorizeStats:
-    return factorize(
-        f, dag, options.numeric, recorder=recorder,
-        checker=_resolve_checker(options, "sequential"),
-    )
-
-
-@register_engine("threaded")
-def _threaded(
-    f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> FactorizeStats:
-    tstats = factorize_threaded(
-        f, dag, options.numeric,
-        n_workers=max(1, options.n_workers), recorder=recorder,
-        checker=_resolve_checker(options, "threaded"),
-    )
-    comp = _compression_counters(f, options)
-    return FactorizeStats(
-        kernel_choices=tstats.kernel_choices,
-        tasks_executed=tstats.tasks_executed,
-        flops_total=dag.total_flops,
-        pivots_replaced=tstats.pivots_replaced,
-        planned_tasks=tstats.planned_tasks,
-        plan_bytes=tstats.plan_bytes,
-        blocks_compressed=comp[0],
-        lr_value_bytes=comp[1],
-    )
-
-
-@register_engine("distributed")
-def _distributed(
-    f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> FactorizeStats:
-    from ..devtools.racecheck import validation_enabled
-
-    dstats = factorize_distributed(
-        f, dag, max(1, options.nprocs),
-        options=options.numeric, recorder=recorder,
-        validate=validation_enabled(options), placement=placement,
-    )
-    return FactorizeStats(
-        kernel_choices=dstats.kernel_choices,
-        tasks_executed=sum(dstats.tasks_per_proc),
-        flops_total=dag.total_flops,
-        pivots_replaced=dstats.pivots_replaced,
-        planned_tasks=dstats.planned_tasks,
-        blocks_compressed=dstats.blocks_compressed,
-        lr_value_bytes=dstats.lr_value_bytes,
-    )
-
-
-@register_engine("hybrid")
-def _hybrid(
-    f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> FactorizeStats:
-    from ..devtools.racecheck import validation_enabled
-
-    dstats = factorize_distributed(
-        f, dag, max(1, options.nprocs),
-        options=options.numeric, recorder=recorder,
-        validate=validation_enabled(options), placement=placement,
-        n_threads=max(1, options.n_workers),
-    )
-    return FactorizeStats(
-        kernel_choices=dstats.kernel_choices,
-        tasks_executed=sum(dstats.tasks_per_proc),
-        flops_total=dag.total_flops,
-        pivots_replaced=dstats.pivots_replaced,
-        planned_tasks=dstats.planned_tasks,
-        blocks_compressed=dstats.blocks_compressed,
-        lr_value_bytes=dstats.lr_value_bytes,
-    )
-
-
-# ----------------------------------------------------------------------
-# phase-5 triangular-solve engines
-# ----------------------------------------------------------------------
-
-_TSOLVE_ENGINES: dict[str, Callable] = {}
 
 
 def register_tsolve_engine(name: str) -> Callable[[Callable], Callable]:
@@ -228,54 +119,77 @@ def available_tsolve_engines() -> list[str]:
     return sorted(_TSOLVE_ENGINES)
 
 
-@register_tsolve_engine("sequential")
-def _tsolve_sequential(
-    f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> tuple:
-    return tsolve_sequential(
-        f, b, tdag=tdag, plans=resolve_plan_cache(f, options.numeric),
-        recorder=recorder,
-        checker=_resolve_checker(options, "tsolve-sequential"),
-    )
-
-
-@register_tsolve_engine("threaded")
-def _tsolve_threaded(
-    f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> tuple:
-    return tsolve_threaded(
-        f, tdag, b, n_workers=max(1, options.n_workers),
-        plans=resolve_plan_cache(f, options.numeric), recorder=recorder,
-        checker=_resolve_checker(options, "tsolve-threaded"),
-    )
-
-
-@register_tsolve_engine("distributed")
-def _tsolve_distributed(
-    f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> tuple:
+def _validate(options) -> bool:
+    """Whether the options (or the ``REPRO_CHECK`` environment variable)
+    request concurrency validation."""
     from ..devtools.racecheck import validation_enabled
 
-    return tsolve_distributed(
-        f, tdag, b, max(1, options.nprocs),
-        use_plans=options.numeric.use_plans, recorder=recorder,
-        validate=validation_enabled(options), placement=placement,
-    )
+    return validation_enabled(options)
 
 
-@register_tsolve_engine("hybrid")
-def _tsolve_hybrid(
-    f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> tuple:
-    from ..devtools.racecheck import validation_enabled
+def _resolve_checker(options, label: str):
+    """A fresh :class:`~repro.devtools.racecheck.RaceChecker` when
+    validation is requested, else ``None``."""
+    if not _validate(options):
+        return None
+    from ..devtools.racecheck import RaceChecker
 
-    return tsolve_distributed(
-        f, tdag, b, max(1, options.nprocs),
-        use_plans=options.numeric.use_plans, recorder=recorder,
-        validate=validation_enabled(options), placement=placement,
-        n_threads=max(1, options.n_workers),
-    )
+    return RaceChecker(label=label)
+
+
+#: engine name → lane shape ``(ranks, threads per rank)``, for the
+#: factorisation and the solves alike; ``ranks=None`` runs in-process
+_LANES: dict[str, Callable] = {
+    "sequential": lambda o: (None, 1),
+    "threaded": lambda o: (None, max(1, o.n_workers)),
+    "distributed": lambda o: (max(1, o.nprocs), 1),
+    "hybrid": lambda o: (max(1, o.nprocs), max(1, o.n_workers)),
+}
+
+
+def _factor_engine(name: str) -> Callable:
+    def engine(
+        f, dag, options, *, recorder: EventRecorder | None = None,
+        placement=None,
+    ) -> FactorizeStats:
+        ranks, threads = _LANES[name](options)
+        if ranks is None:
+            return factorize_threaded(
+                f, dag, options.numeric, n_workers=threads, recorder=recorder,
+                checker=_resolve_checker(options, name),
+            )
+        return factorize_distributed(
+            f, dag, ranks, options=options.numeric, recorder=recorder,
+            validate=_validate(options), placement=placement,
+            n_threads=threads,
+        )
+
+    return engine
+
+
+def _tsolve_engine(name: str) -> Callable:
+    def engine(
+        f, tdag, b, options, *, recorder: EventRecorder | None = None,
+        placement=None,
+    ) -> tuple:
+        ranks, threads = _LANES[name](options)
+        if ranks is None:
+            x, stats = tsolve_threaded(
+                f, tdag, b, n_workers=threads,
+                plans=resolve_plan_cache(f, options.numeric), recorder=recorder,
+                checker=_resolve_checker(options, f"tsolve-{name}"),
+            )
+            stats.engine = name
+            return x, stats
+        return tsolve_distributed(
+            f, tdag, b, ranks, use_plans=options.numeric.use_plans,
+            recorder=recorder, validate=_validate(options),
+            placement=placement, n_threads=threads,
+        )
+
+    return engine
+
+
+for _name in _LANES:
+    register_engine(_name)(_factor_engine(_name))
+    register_tsolve_engine(_name)(_tsolve_engine(_name))

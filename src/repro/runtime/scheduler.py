@@ -2,26 +2,25 @@
 
 PanguLU's synchronisation-free protocol is a small state machine — a
 dependency counter per task, a priority heap of ready tasks, counter
-decrements on completion, a deadlock check at the end — that every real
-engine must run.  Before this module existed it was re-implemented in the
-sequential driver, the threaded executor and each distributed rank;
-:class:`SchedulerCore` is the single copy all three now consume:
+decrements on completion, a deadlock check at the end.
+:class:`SchedulerCore` is that state machine; the one drain loop over it
+is :func:`repro.runtime.executor.execute`, which every engine runs as a
+lane shape (ranks × threads per rank):
 
-* the **sequential** engine (:func:`repro.core.numeric.factorize`) drains
-  one core to exhaustion;
-* the **threaded** engine (:func:`repro.runtime.threaded`) shares one
-  core between workers, guarding ``pop``/``complete`` with its condition
-  lock (the core itself is lock-free — synchronisation policy stays in
-  the engine, protocol lives here);
-* each **distributed** rank (:mod:`repro.runtime.distributed`) owns a
-  core restricted to its own tasks (``owned=...``); completions of remote
+* **sequential** (1×1) drains one core on the calling thread;
+* **threaded** (1×T) shares one core between T lanes, guarding
+  ``pop``/``complete`` with the executor's condition lock (the core
+  itself is lock-free — synchronisation policy stays in the executor,
+  protocol lives here);
+* **distributed** / **hybrid** (P×1 / P×T) give each rank a core
+  restricted to its own tasks (``owned=...``); completions of remote
   predecessors arrive as messages and are fed to the same
   :meth:`SchedulerCore.complete`.
 
-The triangular solves (phase 5) run the same three engines over the same
-core — :func:`repro.core.tsolve.tsolve_core` builds one from an
-executable :class:`~repro.core.tsolve_dag.TSolveDAG`, and the solve
-tasks flow through ``pop``/``complete`` exactly as factor tasks do.
+The triangular solves (phase 5) run the same shapes over the same core —
+:func:`repro.core.tsolve.tsolve_core` builds one from an executable
+:class:`~repro.core.tsolve_dag.TSolveDAG`, and the solve tasks flow
+through ``pop``/``complete`` exactly as factor tasks do.
 
 The core also hosts the structured :class:`EventRecorder` — task
 start/end, message send/recv, ready-queue depth — which
@@ -171,9 +170,8 @@ class EventRecorder:
         )
 
     def __bool__(self) -> bool:
-        # an *empty* recorder is still an armed recorder — engines test
-        # truthiness on the hot path, which must not flip after the first
-        # event lands
+        # an *empty* recorder is still an armed recorder — truthiness
+        # must not flip after the first event lands
         return True
 
 
@@ -185,9 +183,9 @@ class EventRecorder:
 class WorkerLocal:
     """Lock-free per-worker accounting, merged once at worker exit.
 
-    Engines accumulate into one of these outside any lock and call
-    :meth:`merge_into` exactly once (under the engine's lock for the
-    threaded case) — the low-contention stat pattern every engine shares.
+    Each executor lane accumulates into one of these outside any lock
+    and calls :meth:`merge_into` exactly once, under the executor's lock
+    — the low-contention stat pattern every engine shares.
     """
 
     choices: dict[int, str] = field(default_factory=dict)
@@ -240,9 +238,8 @@ class SchedulerCore:
         Recorder lane for the depth samples (a rank id; 0 for the
         in-process engines, whose heap is global).
 
-    The core performs **no locking**: the sequential engine needs none,
-    the threaded engine guards calls with its condition lock, each
-    distributed rank has a private core.
+    The core performs **no locking**: the executor guards calls with
+    its condition lock, and each distributed rank has a private core.
     """
 
     __slots__ = (
@@ -326,7 +323,7 @@ class SchedulerCore:
         The vectorised decrement: all (owned) successors of ``tid`` drop
         by one in a single fancy-indexed operation, and those reaching
         zero are pushed onto the ready heap.  Returns the number of newly
-        ready tasks (the threaded engine's ``notify(n)`` count).  ``tid``
+        ready tasks (the executor's ``notify(n)`` count).  ``tid``
         may be a *non-owned* predecessor (a received message) — it then
         releases owned successors without counting as local work.
         """

@@ -21,11 +21,12 @@ worker function) and hands each worker an :class:`Endpoint` with
 socket or MPI transport) means implementing these two classes — the
 protocol itself is untouched.
 
-Both distributed consumers ride the same transports: the numeric phase
-(:func:`~repro.runtime.distributed.factorize_distributed`, factor-block
-payloads) and the triangular solves
-(:func:`~repro.runtime.distributed.tsolve_distributed`, RHS-segment
-payloads).
+Both phases ride the same transports through one rank entry point: the
+executor (:func:`repro.runtime.executor.execute`) sends each finished
+task's result over the rank's endpoint and a receiver thread drains its
+inbox — factor-block payloads for
+:func:`~repro.runtime.distributed.factorize_distributed`, RHS-segment
+payloads for :func:`~repro.runtime.distributed.tsolve_distributed`.
 """
 
 from __future__ import annotations

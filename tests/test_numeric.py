@@ -69,7 +69,7 @@ class TestFactorize:
 
     def test_collect_timings(self):
         _, bm, dag = _prepared()
-        stats = factorize(bm, dag, collect_timings=True)
+        stats = factorize(bm, dag)
         assert set(stats.seconds_by_type) <= {"GETRF", "GESSM", "TSTRF", "SSSSM"}
         assert stats.seconds_total > 0
 

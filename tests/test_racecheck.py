@@ -194,9 +194,9 @@ def test_threaded_detector_catches_double_writer(monkeypatch):
         collided.wait(timeout=10)
         return 0, False
 
-    monkeypatch.setattr("repro.runtime.threaded._make_block_locks",
+    monkeypatch.setattr("repro.runtime.executor._make_block_locks",
                         lambda n: [_NoopLock() for _ in range(n)])
-    monkeypatch.setattr("repro.runtime.threaded.execute_task", fake_execute)
+    monkeypatch.setattr("repro.runtime.executor.execute_task", fake_execute)
 
     with pytest.raises(ConcurrencyViolation) as exc:
         factorize_threaded(bm, dag, n_workers=2, checker=checker)

@@ -185,11 +185,11 @@ def test_threaded_detector_catches_rhs_double_writer(monkeypatch):
         collided.wait(timeout=10)
 
     monkeypatch.setattr(
-        "repro.runtime.threaded._make_segment_locks",
+        "repro.runtime.executor._make_segment_locks",
         lambda n: [_NoopLock() for _ in range(n)],
     )
     monkeypatch.setattr(
-        "repro.runtime.threaded.execute_tsolve_task", fake_execute
+        "repro.runtime.executor.execute_tsolve_task", fake_execute
     )
 
     with pytest.raises(ConcurrencyViolation) as exc:
