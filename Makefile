@@ -22,10 +22,12 @@ analyze:
 
 # tier-1 suite, then the benchmark harness's own tests (a change to the
 # engine signature or the stats fields perfbench reads fails here, not
-# in the benchmark run)
+# in the benchmark run), then a collect-only pass over benchmarks/ so a
+# deleted symbol a bench imports fails here too
 test:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python -m pytest -q perfbench
+	PYTHONPATH=src python -m pytest --collect-only -q benchmarks
 
 # regenerate BENCH_kernels.json (stamped with git SHA + timestamp +
 # matrix set); absolute numbers are machine-dependent — the ratios are

@@ -4,11 +4,11 @@ The paper asserts the block-level arrays add "no significant additional
 overhead".  This bench measures it for all 16 analogues: layer-1 bytes as
 a share of total factor storage, and the two-layer sparse storage against
 the dense-panel equivalent a padded supernodal layout would pay.  A
-second test compares the two physical layouts behind the same logical
-structure — the preallocated :class:`~repro.core.blocking.FactorArena`
-(the paper's "preallocates all block storage during preprocessing")
-against the legacy per-block allocation: total footprint, and the
-refactorisation latency that in-place slab refill buys.
+second test reports the price and the payoff of the preallocated
+:class:`~repro.core.blocking.FactorArena` (the paper's "preallocates all
+block storage during preprocessing"): the refill gather map's share of
+the footprint, and the refactorisation latency that in-place slab
+refill buys.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 import time
 
 from common import banner, bench_matrices, matrix, prepared_pangulu
-from repro import PanguLU, SolverOptions
-from repro.analysis import format_table, geometric_mean
-from repro.core import block_partition, memory_report
+from repro import PanguLU
+from repro.analysis import format_table
+from repro.core import memory_report
 
 
 def test_memory_two_layer_overhead(benchmark):
@@ -50,54 +50,34 @@ def test_memory_two_layer_overhead(benchmark):
     assert max(overheads) < 0.05
 
 
-def test_memory_arena_vs_per_block(benchmark):
-    banner("Section 4.2 — arena vs per-block layout (footprint + refactorize)")
+def test_memory_arena_refactorize(benchmark):
+    banner("Section 4.2 — arena refill map + in-place refactorize")
     rows = []
-    ratios = []
     for name in bench_matrices():
-        pg = prepared_pangulu(name)
-        filled = pg.symbolic.filled
-        bs = pg.blocks.bs
-        rep_arena = memory_report(block_partition(filled, bs, arena=True))
-        rep_legacy = memory_report(block_partition(filled, bs))
-        ratios.append(rep_arena.total_bytes / rep_legacy.total_bytes)
+        rep = memory_report(prepared_pangulu(name).blocks)
         rows.append([
             name,
-            rep_legacy.total_bytes / 1024,
-            rep_arena.total_bytes / 1024,
-            ratios[-1],
-            rep_arena.arena_refill_bytes / 1024,
+            rep.total_bytes / 1024,
+            rep.arena_refill_bytes / 1024,
+            100.0 * rep.arena_refill_bytes / rep.total_bytes,
         ])
     print(format_table(
-        ["matrix", "per-block KiB", "arena KiB", "arena/per-block ×",
-         "refill map KiB"],
+        ["matrix", "factor KiB", "refill map KiB", "refill map %"],
         rows,
         float_fmt="{:.2f}",
     ))
-    print(f"\ngeometric-mean footprint ratio: {geometric_mean(ratios):.3f} "
-          "(> 1: the arena buys in-place refactorize with the gather map)")
 
-    # refactorize latency: in-place slab refill vs per-block re-partition
+    # refactorize latency: in-place slab refill
     name = bench_matrices()[0]
     a = matrix(name)
     a2 = a.copy()
     a2.data = a.data * 1.1
-    lat_rows = []
-    facts = {}
-    for label, use_arena in (("per-block", False), ("arena", True)):
-        fact = PanguLU(a, SolverOptions(use_arena=use_arena)).factorize()
-        fact.refactorize(a2)  # warm plan caches, then time steady state
-        t0 = time.perf_counter()
-        fact.refactorize(a2)
-        lat_rows.append([label, (time.perf_counter() - t0) * 1e3])
-        facts[label] = fact
-    print(format_table(
-        [f"refactorize ({name})", "latency ms"], lat_rows, float_fmt="{:.2f}",
-    ))
-    benchmark.pedantic(
-        lambda: facts["arena"].refactorize(a2), rounds=3, iterations=1,
-    )
-    # the arena path really was in place: the value slab survives by identity
-    arena_blocks = facts["arena"].blocks
-    assert arena_blocks.arena is not None
-    assert arena_blocks.blk_values[0].data.base is arena_blocks.arena.data
+    fact = PanguLU(a).factorize()
+    fact.refactorize(a2)  # warm plan caches, then time steady state
+    t0 = time.perf_counter()
+    fact.refactorize(a2)
+    print(f"refactorize ({name}): {(time.perf_counter() - t0) * 1e3:.2f} ms")
+    benchmark.pedantic(lambda: fact.refactorize(a2), rounds=3, iterations=1)
+    # the refill really was in place: the value slab survives by identity
+    blocks = fact.blocks
+    assert blocks.blk_values[0].data.base is blocks.arena.data

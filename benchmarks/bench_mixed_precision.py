@@ -34,14 +34,12 @@ def _run(a, dtype: str):
     t0 = time.perf_counter()
     fact = s.factorize()
     t_factor = time.perf_counter() - t0
-    data_bytes = (fact.blocks.arena.data.nbytes if fact.blocks.arena
-                  is not None else sum(blk.data.nbytes
-                                       for blk in fact.blocks.blk_values))
+    data_bytes = fact.blocks.arena.data.nbytes
     t0 = time.perf_counter()
     try:
         x = fact.solve(b)
         outcome = "ok"
-        resid = s.residual_norm(x, b)
+        resid = fact.residual_norm(x, b)
     except RefinementStalled as err:
         outcome = "stalled"
         resid = err.achieved

@@ -179,36 +179,31 @@ def bench_tsolve() -> dict:
 
 
 def bench_arena() -> dict:
-    """Arena vs per-block factor storage (Section 4.2 preallocation):
-    partition cost, steady-state refactorize latency (in-place slab
-    refill vs per-block re-partition), and the pickled handle size."""
+    """Arena factor storage (Section 4.2 preallocation): partition cost,
+    steady-state refactorize latency (in-place slab refill), and the
+    pickled handle size."""
     import pickle
 
-    from repro import PanguLU, SolverOptions
+    from repro import PanguLU
     from repro.core import block_partition, memory_report
 
     n = max(120, int(600 * SCALE))
     a = random_sparse(n, 0.02, seed=13)
     a2 = a.copy()
     a2.data = a.data * 1.1
-    out: dict = {"n": n}
-    for label, use_arena in (("per_block", False), ("arena", True)):
-        fact = PanguLU(a, SolverOptions(use_arena=use_arena)).factorize()
-        rep = memory_report(fact.blocks)
-        fact.refactorize(a2)  # warm the plan cache before timing
-        out[label] = {
-            "factor_bytes": rep.total_bytes,
-            "layer1_overhead": rep.layer1_overhead,
-            "refactorize_ms": _best_ms(lambda: fact.refactorize(a2)),
-            "pickle_bytes": len(pickle.dumps(fact)),
-        }
-        bs = fact.blocks.bs
+    fact = PanguLU(a).factorize()
+    rep = memory_report(fact.blocks)
+    fact.refactorize(a2)  # warm the plan cache before timing
+    bs = fact.blocks.bs
     f = symbolic_symmetric(a).filled
-    out["partition_ms"] = {
-        "per_block": _best_ms(lambda: block_partition(f, bs)),
-        "arena": _best_ms(lambda: block_partition(f, bs, arena=True)),
+    return {
+        "n": n,
+        "factor_bytes": rep.total_bytes,
+        "layer1_overhead": rep.layer1_overhead,
+        "refactorize_ms": _best_ms(lambda: fact.refactorize(a2)),
+        "pickle_bytes": len(pickle.dumps(fact)),
+        "partition_ms": _best_ms(lambda: block_partition(f, bs)),
     }
-    return out
 
 
 def bench_precision() -> dict:
@@ -234,7 +229,7 @@ def bench_precision() -> dict:
                 ).factorize()
             ),
             "solve_ms": _best_ms(lambda: fact.solve(b)),
-            "residual": solver.residual_norm(x, b),
+            "residual": fact.residual_norm(x, b),
         }
     assert out["float32"]["arena_data_bytes"] * 2 == \
         out["float64"]["arena_data_bytes"]
@@ -377,7 +372,7 @@ def bench_compression() -> dict:
             "blocks_compressed": fact.stats.blocks_compressed,
             "lr_value_bytes": fact.stats.lr_value_bytes,
             "wire_bytes_3ranks": dstats.block_bytes_sent,
-            "residual": float(solver.residual_norm(x, b)),
+            "residual": float(fact.residual_norm(x, b)),
         }
     assert out["on"]["blocks_compressed"] > 0
     assert out["on"]["wire_bytes_3ranks"] < out["off"]["wire_bytes_3ranks"]
@@ -444,14 +439,11 @@ def main() -> None:
     print(f"\nTSOLVE (ms, n={tsolve['n']}, {tsolve['tasks']} tasks):")
     for key in t_keys:
         print(f"  {key:<{t_width}}  {tsolve[key]:8.3f}")
-    print(f"\nARENA vs per-block (n={arena['n']}):")
-    for label in ("per_block", "arena"):
-        row = arena[label]
-        print(f"  {label:<9}  refactorize {row['refactorize_ms']:8.3f} ms  "
-              f"factor {row['factor_bytes'] / 1024:8.1f} KiB  "
-              f"pickle {row['pickle_bytes'] / 1024:8.1f} KiB")
-    print(f"  partition   per_block {arena['partition_ms']['per_block']:.3f} ms"
-          f" / arena {arena['partition_ms']['arena']:.3f} ms")
+    print(f"\nARENA (n={arena['n']}):")
+    print(f"  refactorize {arena['refactorize_ms']:8.3f} ms  "
+          f"factor {arena['factor_bytes'] / 1024:8.1f} KiB  "
+          f"pickle {arena['pickle_bytes'] / 1024:8.1f} KiB  "
+          f"partition {arena['partition_ms']:.3f} ms")
     print(f"\nPRECISION f32 vs f64 (n={precision['n']}):")
     for label in ("float64", "float32"):
         row = precision[label]

@@ -25,3 +25,6 @@ PYTHONPATH=src python -m pytest -x -q
 
 echo "== benchmark harness tests (perfbench) =="
 PYTHONPATH=src python -m pytest -q perfbench
+
+echo "== benchmarks still import (collect only) =="
+PYTHONPATH=src python -m pytest --collect-only -q benchmarks

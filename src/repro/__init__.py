@@ -30,7 +30,7 @@ Quickstart::
     a = generate("ecology1", scale=0.3)
     solver = PanguLU(a)
     x = solver.solve(np.ones(a.nrows))
-    assert solver.residual_norm(x, np.ones(a.nrows)) < 1e-10
+    assert solver.factorize().residual_norm(x, np.ones(a.nrows)) < 1e-10
 """
 
 from .core.solver import Factorization, PanguLU, RefinementStalled, SolverOptions

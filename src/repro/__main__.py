@@ -62,6 +62,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(0)
     b = np.ones(a.nrows) if args.rhs == "ones" else rng.standard_normal(a.nrows)
     x = solver.solve(b)
+    fact = solver.factorize()
     blocks = solver.blocks
     if args.verify:
         from .core.verify import verify_dag
@@ -77,12 +78,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"blocks = {blocks.nb}×{blocks.nb} {shape}")
     print(f"engine = {solver.options.resolved_engine()}, "
           f"factor dtype = {solver.blocks.dtype}, "
-          f"relative residual = {solver.residual_norm(x, b):.3e}")
-    fact = solver.factorize()
+          f"relative residual = {fact.residual_norm(x, b):.3e}")
     if fact.last_tsolve_stats is not None:
         ts = fact.last_tsolve_stats
-        print(f"solve: {solver.solve_count} call(s), last "
-              f"{solver.last_solve_seconds:.4f} s "
+        print(f"solve: {fact.solve_count} call(s), last "
+              f"{fact.last_solve_seconds:.4f} s "
               f"({ts.tasks_executed} solve tasks via {ts.engine})")
     for phase, seconds in solver.phase_seconds.items():
         print(f"  {phase:<12s} {seconds:8.4f} s")

@@ -19,18 +19,15 @@ Because every block keeps its exact sparse pattern (no supernode padding),
 the numeric kernels never compute with structural zeros — the central
 storage claim of the paper (Fig. 1e vs 1d).
 
-Two physical layouts back the same logical structure:
-
-* **per-block** (legacy): every payload is its own matrix — independently
-  pickled, re-partitioned on every refactorisation;
-* **arena** (:class:`FactorArena`, the paper's Section 4.2
-  "preallocates all block storage during preprocessing"): one contiguous
-  ``indptr`` / ``indices`` / ``data`` slab for the whole factor, sized
-  once from the symbolic fill, with every block a zero-copy
-  :meth:`~repro.sparse.csc.CSCMatrix.from_views` slice addressed through
-  a slot→offset table.  Kernels write through the views straight into
-  the slab, so a refactorisation is a single in-place overwrite of the
-  value slab and serialisation ships three buffers instead of thousands.
+One physical layout backs the structure: the :class:`FactorArena` (the
+paper's Section 4.2 "preallocates all block storage during
+preprocessing") — one contiguous ``indptr`` / ``indices`` / ``data`` slab
+for the whole factor, sized once from the symbolic fill, with every block
+a zero-copy :meth:`~repro.sparse.csc.CSCMatrix.from_views` slice
+addressed through a slot→offset table.  Kernels write through the views
+straight into the slab, so a refactorisation is a single in-place
+overwrite of the value slab and serialisation ships three buffers instead
+of thousands.
 """
 
 from __future__ import annotations
@@ -316,22 +313,21 @@ class BlockMatrix:
     blk_colptr, blk_rowidx:
         Layer-1 CSC arrays over blocks: block column ``bj`` owns the block
         rows ``blk_rowidx[blk_colptr[bj]:blk_colptr[bj+1]]`` (sorted).
+    arena:
+        The :class:`FactorArena` holding every payload.  Its slabs are
+        the single source of truth: serialisation ships them instead of
+        per-block arrays, and :meth:`FactorArena.refill` re-injects
+        values without allocating.
     blk_values:
         Per-block payloads aligned with ``blk_rowidx``; each is a
-        :class:`CSCMatrix` with *local* indices.
+        zero-copy :class:`CSCMatrix` view into the arena with *local*
+        indices (attached on construction and on unpickling).
     plan_cache:
         Lazily-created :class:`repro.kernels.plans.PlanCache` of
         fixed-pattern execution plans for this structure (managed by
         :func:`repro.core.numeric.resolve_plan_cache`).  Attached here —
         not to the options — because plans are keyed by storage slots,
         which only identify patterns within one block structure.
-    arena:
-        The :class:`FactorArena` backing ``blk_values`` when the
-        structure was built with ``block_partition(..., arena=True)``;
-        ``None`` for the legacy per-block layout.  With an arena, every
-        payload is a zero-copy view into the slabs, serialisation ships
-        the slabs instead of per-block arrays, and
-        :meth:`FactorArena.refill` re-injects values without allocating.
     dtype:
         Value dtype of every block payload (``float64`` by default,
         ``float32`` on the mixed-precision factor path).  Set by
@@ -352,9 +348,9 @@ class BlockMatrix:
     nb: int
     blk_colptr: np.ndarray
     blk_rowidx: np.ndarray
-    blk_values: list[CSCMatrix]
+    arena: FactorArena = field(repr=False)
+    blk_values: list[CSCMatrix] = field(default_factory=list, repr=False)
     plan_cache: object | None = field(default=None, repr=False)
-    arena: FactorArena | None = field(default=None, repr=False)
     dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
     boundaries: np.ndarray | None = field(default=None, repr=False)
     lr_overlay: dict = field(default_factory=dict, repr=False)
@@ -365,6 +361,7 @@ class BlockMatrix:
             # hand-built regular structures (tests, fixtures) may omit the
             # boundary array; derive the equispaced one from bs
             self.boundaries = boundaries_from_block_size(self.n, self.bs)
+        self._attach_arena_views()
 
     # ------------------------------------------------------------------
     def block_start(self, b: int) -> int:
@@ -401,7 +398,6 @@ class BlockMatrix:
         slabs, and rebuild the low-rank overlay from the slab's per-slot
         ranks."""
         arena = self.arena
-        assert arena is not None
         orders = np.diff(self.boundaries).tolist()
         slot_col = np.repeat(np.arange(self.nb), np.diff(self.blk_colptr)).tolist()
         values: list[CSCMatrix] = []
@@ -422,29 +418,26 @@ class BlockMatrix:
     def __getstate__(self) -> dict:
         """Serialise without the unpicklable/rebuildable parts.
 
-        The plan cache (holds a lock, rebuilt lazily) and the slot index
-        are always dropped.  With an arena, the per-block views are
-        dropped too — the three slabs are the single source of truth, so
-        pickling ships three contiguous buffers
-        instead of thousands of small per-block arrays.
+        The plan cache (holds a lock, rebuilt lazily), the slot index and
+        the per-block views are dropped — the three slabs are the single
+        source of truth, so pickling ships three contiguous buffers
+        instead of thousands of small per-block arrays.  The low-rank
+        overlay (views into the lr slab) is rebuilt from
+        ``arena.lr_rank`` on unpickle.
         """
         state = {
             f.name: getattr(self, f.name) for f in dataclasses.fields(self)
         }
         state["plan_cache"] = None
         state["_index"] = None
-        if self.arena is not None:
-            state["blk_values"] = None
-            # the overlay is views into the lr slab; rebuilt from
-            # arena.lr_rank on unpickle
-            state["lr_overlay"] = {}
+        state["blk_values"] = None
+        state["lr_overlay"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-        if self.arena is not None and self.blk_values is None:
-            self._attach_arena_views()
+        self._attach_arena_views()
 
     @property
     def num_blocks(self) -> int:
@@ -481,10 +474,9 @@ class BlockMatrix:
         """Size the arena's low-rank slab so compressed factors can be
         stored (and re-stored across ``refactorize``) without
         allocating.  Diagonal blocks are sized out — GETRF targets are
-        never compressed.  No-op for the legacy layout or when already
-        allocated."""
+        never compressed.  No-op when already allocated."""
         arena = self.arena
-        if arena is None or arena.has_lr:
+        if arena.has_lr:
             return
         caps = np.zeros(self.num_blocks, dtype=np.int64)
         for bj in range(self.nb):
@@ -513,8 +505,7 @@ class BlockMatrix:
         slot = self.block_slot(bi, bj)
         arena = self.arena
         if (
-            arena is not None
-            and arena.has_lr
+            arena.has_lr
             and slot >= 0
             and rank * (m + n) <= arena.lr_capacity(slot)
         ):
@@ -532,7 +523,7 @@ class BlockMatrix:
         """Drop every low-rank overlay (the refinement escalation path:
         back to exact CSC blocks everywhere)."""
         self.lr_overlay.clear()
-        if self.arena is not None and self.arena.lr_rank is not None:
+        if self.arena.lr_rank is not None:
             self.arena.lr_rank[:] = -1
 
     def compression_stats(self) -> dict[str, int]:
@@ -624,7 +615,6 @@ def block_partition(
     filled: CSCMatrix,
     bs: int | np.ndarray,
     *,
-    arena: bool = False,
     dtype: np.dtype | type | None = None,
 ) -> BlockMatrix:
     """Split a filled matrix into the two-layer block structure.
@@ -641,11 +631,9 @@ def block_partition(
     parent).  One stable sort of the entries by (block column, block row)
     lays out all blocks at once: O(nnz log nnz) time.
 
-    The payloads are laid out in three contiguous slabs in storage-slot
-    order, and every block is a zero-copy view into them.  With
-    ``arena=True`` the slabs are kept as the result's :class:`FactorArena`
-    (in-place refills, pickling as three buffers); otherwise only the
-    per-block views remain.  The slabs are sized from the per-block
+    The payloads are laid out in the result's :class:`FactorArena` —
+    three contiguous slabs in storage-slot order — and every block is a
+    zero-copy view into them.  The slabs are sized from the per-block
     extents, so variable-width blocks need no changes below this point.
 
     ``dtype`` sets the value dtype of the payloads (and the arena's data
@@ -697,27 +685,20 @@ def block_partition(
     indptr = np.cumsum(per_col) - np.repeat(val_off[:-1], ptr_len)
     del per_col, local_col
 
-    out = BlockMatrix(
+    return BlockMatrix(
         n=n,
         bs=bs,
         nb=nb,
         blk_colptr=blk_colptr,
         blk_rowidx=blk_rowidx,
-        blk_values=[],
+        arena=FactorArena(
+            indptr=indptr,
+            indices=filled.indices[order] - bounds[blk_rowidx][entry_slot],
+            data=filled.data[order].astype(dtype, copy=False),
+            ptr_off=ptr_off,
+            val_off=val_off,
+            gather=order,
+        ),
         dtype=dtype,
         boundaries=bounds,
     )
-    # both layouts view the same slabs; only the arena layout keeps the
-    # FactorArena (and its gather table) for in-place refills
-    out.arena = FactorArena(
-        indptr=indptr,
-        indices=filled.indices[order] - bounds[blk_rowidx][entry_slot],
-        data=filled.data[order].astype(dtype, copy=False),
-        ptr_off=ptr_off,
-        val_off=val_off,
-        gather=order,
-    )
-    out._attach_arena_views()
-    if not arena:
-        out.arena = None
-    return out

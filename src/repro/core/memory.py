@@ -12,11 +12,10 @@ under a mapping.
 Every count is derived from the **actual dtypes of the stored arrays**
 (``arr.nbytes`` / ``dtype.itemsize``), so the report stays truthful if
 the index or value width ever changes — there are no hardcoded "8 bytes
-per entry" constants.  For an arena-backed structure
-(:class:`~repro.core.blocking.FactorArena`) the slot→offset tables are
-counted as layer-1 overhead (they are the paper's block-payload pointer
-array made literal) and the refactorisation gather map is reported
-separately.
+per entry" constants.  The slot→offset tables of the
+:class:`~repro.core.blocking.FactorArena` are counted as layer-1
+overhead (they are the paper's block-payload pointer array made literal)
+and the refactorisation gather map is reported separately.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ import numpy as np
 from .blocking import BlockMatrix
 
 __all__ = ["MemoryReport", "memory_report", "per_process_bytes"]
-
-#: pointer width charged per stored block for the legacy layout's
-#: payload-pointer array (one PyObject*/array pointer per block)
-_PTR = np.dtype(np.int64).itemsize
 
 
 @dataclass(frozen=True)
@@ -48,8 +43,8 @@ class MemoryReport:
     layer1_index_bytes:
         Block-level CSC overhead — the paper's auxiliary arrays
         (``blk_ColumnPointer``, ``blk_RowIndex`` and the block-payload
-        pointers; for an arena these pointers are the ``ptr_off`` /
-        ``val_off`` slot→offset tables).
+        pointers, which are the arena's ``ptr_off`` / ``val_off``
+        slot→offset tables).
     dense_equivalent_bytes:
         Storing every *stored* block as a dense panel (what a padded
         supernodal layout pays for the same coverage).
@@ -60,7 +55,7 @@ class MemoryReport:
     arena_refill_bytes:
         The arena's ``gather`` map (filled-matrix position of every slab
         entry) — the price of in-place value re-injection on
-        refactorisation.  0 for the per-block layout.
+        refactorisation.
     lr_value_bytes:
         Numeric payload of the low-rank overlay (the ``U``/``V`` factor
         pairs of compressed GESSM/TSTRF panels).  0 with compression off.
@@ -132,23 +127,19 @@ def memory_report(f: BlockMatrix) -> MemoryReport:
     layer2 = 0
     dense_eq = 0
     for blk in f.blk_values:
-        val_itemsize = blk.value_nbytes // blk.nnz if blk.nnz else _PTR
         values += blk.value_nbytes
         layer2 += blk.index_nbytes
-        dense_eq += blk.nrows * blk.ncols * val_itemsize
-    layer1 = f.blk_colptr.nbytes + f.blk_rowidx.nbytes
-    refill = 0
-    if f.arena is not None:
-        # the slot→offset tables are the block-payload pointer array of
-        # the paper's layer 1; the gather map buys in-place refactorize
-        layer1 += f.arena.ptr_off.nbytes + f.arena.val_off.nbytes
-        refill = f.arena.gather.nbytes
-    else:
-        layer1 += f.num_blocks * _PTR  # one payload pointer per block
+        dense_eq += blk.nrows * blk.ncols * blk.data.itemsize
+    # the slot→offset tables are the block-payload pointer array of the
+    # paper's layer 1; the gather map buys in-place refactorize
+    layer1 = (
+        f.blk_colptr.nbytes + f.blk_rowidx.nbytes
+        + f.arena.ptr_off.nbytes + f.arena.val_off.nbytes
+    )
     plans = f.plan_cache
     lr_bytes = 0
     comp_csc = 0
-    for (bi, bj), cb in (getattr(f, "lr_overlay", None) or {}).items():
+    for (bi, bj), cb in f.lr_overlay.items():
         lr_bytes += cb.value_nbytes
         blk = f.block(bi, bj)
         if blk is not None:  # values + indices a pure-overlay reader skips
@@ -159,7 +150,7 @@ def memory_report(f: BlockMatrix) -> MemoryReport:
         layer1_index_bytes=int(layer1),
         dense_equivalent_bytes=int(dense_eq),
         plan_bytes=int(plans.nbytes) if plans is not None else 0,
-        arena_refill_bytes=int(refill),
+        arena_refill_bytes=int(f.arena.gather.nbytes),
         lr_value_bytes=int(lr_bytes),
         compressed_csc_bytes=int(comp_csc),
     )

@@ -281,18 +281,11 @@ def _try_planned(
     slab (same indexing order — bit-identical); distributed workers
     operate on a :class:`~repro.runtime.distributed._LocalView` without
     an arena and keep the block-local form.
-
-    Keys carry the value dtype character alongside the slots: the plans
-    themselves are index-only (dtype-agnostic), but keying on dtype keeps
-    a shared cache coherent if the same structure is ever re-partitioned
-    at a different working precision (refactorize carries the cache
-    across partitions).
     """
     target = f.block(task.bi, task.bj)
-    dc = target.data.dtype.char
     if ktype is KernelType.GETRF:
         slot = f.block_slot(task.bi, task.bj)
-        plan = plans.get(("getrf", slot, dc), lambda: build_getrf_plan(target))
+        plan = plans.get(("getrf", slot), lambda: build_getrf_plan(target))
         return run_getrf_plan(plan, target, pivot_floor=pivot_floor)
     if ktype is KernelType.GESSM or ktype is KernelType.TSTRF:
         diag = f.block(task.k, task.k)
@@ -300,7 +293,6 @@ def _try_planned(
             "gessm" if ktype is KernelType.GESSM else "tstrf",
             f.block_slot(task.k, task.k),
             f.block_slot(task.bi, task.bj),
-            dc,
         )
         if ktype is KernelType.GESSM:
             plan = plans.get(key, lambda: build_gessm_plan(diag, target))
@@ -317,7 +309,7 @@ def _try_planned(
     arena = getattr(f, "arena", None)
     if arena is not None:
         plan = plans.get(
-            ("ssssm@arena", sa, sb, sc, dc),
+            ("ssssm@arena", sa, sb, sc),
             lambda: rebase_ssssm_plan(
                 build_ssssm_plan(
                     target, a_blk, b_blk, entry_limit=plans.ssssm_entry_limit
@@ -332,7 +324,7 @@ def _try_planned(
         run_ssssm_plan_arena(plan, arena.data)
         return 0
     plan = plans.get(
-        ("ssssm", sa, sb, sc, dc),
+        ("ssssm", sa, sb, sc),
         lambda: build_ssssm_plan(
             target, a_blk, b_blk, entry_limit=plans.ssssm_entry_limit
         ),

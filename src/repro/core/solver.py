@@ -23,8 +23,10 @@ Every phase's wall-clock time is recorded in :attr:`PanguLU.phase_seconds`
 factor-once/solve-many handle that owns phase 5: it can be shipped to
 another process and solve fresh right-hand sides there without
 refactorising (the Newton-iteration workload of the paper's
-introduction).  ``PanguLU.solve`` / ``solve_transposed`` / ``refactorize``
-delegate to it.
+introduction).  :class:`PanguLU` builds the analysis and the one handle;
+every operation on the factored system (``refactorize``,
+``solve_transposed``, ``slogdet``, ``condest_1norm``, the verification
+helpers) lives on the handle.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from ..ordering import amd, colamd, mc64, nested_dissection, rcm
 from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import ensure_diagonal
 from ..symbolic import SymbolicResult, symbolic_symmetric
-from .blocking import BlockMatrix, block_partition
+from .blocking import BlockMatrix
 from .dag import TaskDAG, build_dag
-from .mapping import ProcessGrid, balance_loads, task_weights
+from .mapping import balance_loads, task_weights
 from .placement import PlacementPolicy, resolve_placement
 from .strategy import get_blocking_strategy
 from .numeric import FactorizeStats, NumericOptions
@@ -191,18 +193,6 @@ class SolverOptions:
         Regular block size — or, for ``blocking="irregular"``, the block
         width cap.  ``None`` applies the order/density heuristic of
         :func:`repro.core.blocking.choose_block_size`.
-    use_arena:
-        Back the two-layer structure with a preallocated
-        :class:`~repro.core.blocking.FactorArena` (default): one
-        contiguous ``indptr``/``indices``/``data`` slab per factor sized
-        during preprocessing, every block a zero-copy view — the paper's
-        Section 4.2 "preallocates all block storage during
-        preprocessing".  Factors and solutions are bit-identical to the
-        legacy per-block layout; ``refactorize`` overwrites the value
-        slab in place (no per-block allocations) and pickling a
-        :class:`Factorization` ships three buffers instead of thousands.
-        ``False`` selects the legacy independently-allocated blocks (the
-        ablation baseline).
     numeric:
         Kernel selection and pivoting options for the numeric phase.
     nprocs:
@@ -318,7 +308,6 @@ class SolverOptions:
     use_mc64: bool = True
     blocking: str = "regular"
     block_size: int | None = None
-    use_arena: bool = True
     numeric: NumericOptions = field(default_factory=NumericOptions)
     nprocs: int = 1
     placement: str | PlacementPolicy = "cyclic"
@@ -365,21 +354,24 @@ class SolverOptions:
 class Factorization:
     """A factor-once/solve-many handle: everything phase 5 needs.
 
-    Produced by :meth:`PanguLU.factorize`; owns the factored blocks, the
-    scalings/permutations of phase 1, and the executable solve DAGs, and
-    solves any number of right-hand sides through the engine named by
-    ``options.engine`` — without touching the original :class:`PanguLU`
-    (which delegates its own ``solve``/``solve_transposed``/
-    ``refactorize`` here).
+    Produced by :meth:`PanguLU.factorize`; the one owner of the factored
+    system.  It holds the factored blocks, the scalings/permutations of
+    phase 1, the current matrix ``a`` (replaced by :meth:`refactorize`)
+    and the executable solve DAGs, and solves any number of right-hand
+    sides through the engine named by ``options.engine``.
 
     The handle is **picklable**: the pattern-bound execution-plan cache
     (which holds a lock and is cheap to rebuild lazily) is dropped on
-    serialisation, everything else round-trips, so a factorisation
-    computed once can be shipped to worker processes that each solve
-    their own right-hand sides.
+    serialisation and the factors ship as the arena's three slabs, so a
+    factorisation computed once can be shipped to worker processes that
+    each solve their own right-hand sides.
 
     Attributes
     ----------
+    a, stats:
+        The matrix the factors currently describe and the
+        :class:`~repro.core.numeric.FactorizeStats` of the numeric run
+        that produced them (both replaced by :meth:`refactorize`).
     solve_count, last_solve_seconds, total_solve_seconds:
         Accounting across :meth:`solve`/:meth:`solve_transposed` calls —
         ``total_solve_seconds`` accumulates (it is what
@@ -619,32 +611,30 @@ class Factorization:
         return self.options.numeric.compress_tol > 0.0
 
     def decompress(self) -> FactorizeStats:
-        """Refinement-escalation path: disable compression, drop every
-        low-rank overlay, and refactorise the current matrix exactly.
-        After this the handle behaves like a compression-off
-        factorisation (bit-identical factors to ``compress_tol=0``);
-        the caller retries the solve against the exact factors."""
+        """Refinement-escalation path: disable compression and refactorise
+        the current matrix exactly (``refactorize`` drops every low-rank
+        overlay).  After this the handle behaves like a compression-off
+        factorisation (bit-identical factors to ``compress_tol=0``); the
+        caller retries the solve against the exact factors."""
         self.options.compress_tol = 0.0
         self.options.numeric.compress_tol = 0.0
-        if hasattr(self.blocks, "clear_compressed"):
-            self.blocks.clear_compressed()
         return self.refactorize(self.a)
 
-    def _refine_compressed(self, x0, b, apply_fn, matvec, *, rebuild):
-        """Refinement with the compressed-factor escalation: run the
-        adaptive loop; when it stalls, decompress + refactorise exactly
-        and retry once from a fresh application of the exact factors
-        (``rebuild`` recomputes the initial iterate)."""
-        try:
+    def _refined(self, b: np.ndarray, apply_fn, matvec) -> np.ndarray:
+        """``apply_fn(b)`` refined against ``b`` by the loop the factors
+        call for: adaptive on compressed factors (decompressing and
+        starting over if it stalls), adaptive on ``float32`` factors,
+        ``refine_steps`` fixed sweeps on exact ``float64`` ones."""
+        x0 = apply_fn(b)
+        if self.compression_active():
+            try:
+                return self._refine_adaptive(x0, b, apply_fn, matvec)
+            except RefinementStalled:
+                self.decompress()
+                return self._refined(b, apply_fn, matvec)
+        if self.factor_dtype == np.dtype(np.float32):
             return self._refine_adaptive(x0, b, apply_fn, matvec)
-        except RefinementStalled:
-            if not self.compression_active():
-                raise
-            self.decompress()
-            x1 = rebuild()
-            if self.factor_dtype == np.dtype(np.float32):
-                return self._refine_adaptive(x1, b, apply_fn, matvec)
-            return self._refine(x1, b, apply_fn, matvec)
+        return self._refine(x0, b, apply_fn, matvec)
 
     def solve(self, b: np.ndarray, *, recorder=None) -> np.ndarray:
         """Solve ``A x = b`` (vector or ``(n, k)`` multi-RHS panel) with
@@ -658,40 +648,20 @@ class Factorization:
                 f"b has shape {b.shape}, expected ({self.n},) or ({self.n}, k)"
             )
         mv = self.a.matmat if b.ndim == 2 else self.a.matvec
-        x0 = self.apply(b, recorder=recorder)
-        apply_fn = lambda r: self.apply(r, recorder=recorder)  # noqa: E731
-        if self.compression_active():
-            x = self._refine_compressed(
-                x0, b, apply_fn, mv,
-                rebuild=lambda: self.apply(b, recorder=recorder),
-            )
-        elif self.factor_dtype == np.dtype(np.float32):
-            x = self._refine_adaptive(x0, b, apply_fn, mv)
-        else:
-            x = self._refine(x0, b, apply_fn, mv)
+        x = self._refined(b, lambda r: self.apply(r, recorder=recorder), mv)
         self._account(t0)
         return x
 
     def solve_transposed(self, b: np.ndarray) -> np.ndarray:
         """Solve ``Aᵀ x = b`` using the same factorisation
         (``(LU)ᵀ = Uᵀ Lᵀ`` over the block layout — no second
-        factorisation)."""
+        factorisation).  Needed by :meth:`condest_1norm` and by
+        adjoint/sensitivity computations in circuit and PDE workloads."""
         t0 = time.perf_counter()
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.n,):
             raise ValueError(f"b has shape {b.shape}, expected ({self.n},)")
-        if self.compression_active():
-            x = self._refine_compressed(
-                self._apply_transposed(b), b,
-                self._apply_transposed, self._matvec_t,
-                rebuild=lambda: self._apply_transposed(b),
-            )
-        elif self.factor_dtype == np.dtype(np.float32):
-            x = self._refine_adaptive(self._apply_transposed(b), b,
-                                      self._apply_transposed, self._matvec_t)
-        else:
-            x = self._refine(self._apply_transposed(b), b,
-                             self._apply_transposed, self._matvec_t)
+        x = self._refined(b, self._apply_transposed, self._matvec_t)
         self._account(t0)
         return x
 
@@ -714,11 +684,10 @@ class Factorization:
         Reuses the reordering, symbolic pattern, blocking, DAG, mapping,
         execution plans **and** the executable solve DAGs computed for
         the original matrix; only value injection and the numeric
-        factorisation are repeated.  On the arena layout
-        (``options.use_arena``) the value injection is a single in-place
-        overwrite of the preallocated value slab — no per-block array is
-        allocated or rebound, so every block view, scatter plan and solve
-        DAG survives untouched.
+        factorisation are repeated.  The value injection is a single
+        in-place overwrite of the arena's value slab — no per-block array
+        is allocated or rebound, so every block view, scatter plan and
+        solve DAG survives untouched.
         """
         if a_new.shape != self.a.shape:
             raise ValueError("refactorize requires a same-shape matrix")
@@ -737,24 +706,10 @@ class Factorization:
         from ..symbolic import fill_in_values
 
         refreshed = fill_in_values(self.symbolic.filled, work)
-        if getattr(self.blocks, "lr_overlay", None):
-            # stale overlays describe the previous values; the engine
-            # re-compresses (into the same arena slab) as it factorises
-            self.blocks.clear_compressed()
-        if self.blocks.arena is not None:
-            self.blocks.arena.refill(refreshed.data)
-        else:
-            bs = self.blocks.bs
-            plan_cache = self.blocks.plan_cache
-            self.blocks = block_partition(
-                refreshed, self.blocks.boundaries, dtype=self.blocks.dtype
-            )
-            self.blocks.bs = bs
-            # same pattern ⇒ same boundaries ⇒ same storage slots: the
-            # execution plans and the solve DAGs (which hold block indices,
-            # not block references) built for the previous factorisation
-            # stay valid
-            self.blocks.plan_cache = plan_cache
+        # stale overlays describe the previous values; the engine
+        # re-compresses (into the same arena slab) as it factorises
+        self.blocks.clear_compressed()
+        self.blocks.arena.refill(refreshed.data)
         engine = get_engine(self.options.resolved_engine())
         self.stats = engine(
             self.blocks, self.dag, self.options,
@@ -764,18 +719,82 @@ class Factorization:
         return self.stats
 
     # ------------------------------------------------------------------
-    # serialisation
+    # diagnostics
     # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # BlockMatrix.__getstate__ drops the (lock-holding) plan cache and,
-        # on the arena layout, serialises the factors as three contiguous
-        # slabs instead of thousands of per-block arrays
-        return dict(self.__dict__)
+    def slogdet(self) -> tuple[float, float]:
+        """``(sign, log|det A|)`` from the factorisation (numpy.slogdet
+        convention).
+
+        Uses ``det(P₁ · Dr A Dc · P₂ᵀ) = Π diag(U)`` and corrects for the
+        permutation signs and the MC64 scalings.
+        """
+        sign = 1.0
+        logdet = 0.0
+        for k in range(self.blocks.nb):
+            d = self.blocks.block(k, k).diagonal()
+            if np.any(d == 0.0):
+                return 0.0, -np.inf
+            sign *= float(np.prod(np.sign(d)))
+            logdet += float(np.sum(np.log(np.abs(d))))
+        sign *= _perm_sign(self.row_perm) * _perm_sign(self.col_perm)
+        logdet -= float(np.sum(np.log(self.row_scale)))
+        logdet -= float(np.sum(np.log(self.col_scale)))
+        return sign, logdet
+
+    def condest_1norm(self, *, max_iter: int = 8) -> float:
+        """Estimate ``κ₁(A) = ‖A‖₁ · ‖A⁻¹‖₁`` (Hager's method).
+
+        ``‖A⁻¹‖₁`` is estimated by power iteration on the signs of
+        ``A⁻¹``/``A⁻ᵀ`` applications — a lower bound that is typically
+        within a small factor of the truth, at the cost of a handful of
+        triangular solves.
+        """
+        n = self.n
+        x = np.full(n, 1.0 / n, dtype=np.float64)
+        est = 0.0
+        for _ in range(max_iter):
+            y = self.solve(x)
+            new_est = float(np.abs(y).sum())
+            xi = np.sign(y)
+            xi[xi == 0] = 1.0
+            z = self.solve_transposed(xi)
+            j = int(np.argmax(np.abs(z)))
+            if new_est <= est or float(np.abs(z[j])) <= float(z @ x):
+                est = max(est, new_est)
+                break
+            est = new_est
+            x = np.zeros(n, dtype=np.float64)
+            x[j] = 1.0
+        return self.a.norm_1() * est
+
+    def residual_norm(self, x: np.ndarray, b: np.ndarray) -> float:
+        """Relative residual ``‖A x − b‖₂ / ‖b‖₂`` against the matrix the
+        factors currently describe."""
+        r = self.a.matvec(x) - b
+        denom = float(np.linalg.norm(b)) or 1.0
+        return float(np.linalg.norm(r)) / denom
+
+    def lu_product_error(self) -> float:
+        """Max-norm error ``‖(reordered A) − L·U‖∞ / ‖A‖∞`` — verifies the
+        factorisation independently of any right-hand side."""
+        lu = self.blocks.to_csc().to_dense()
+        n = lu.shape[0]
+        l = np.tril(lu, -1) + np.eye(n)
+        u = np.triu(lu)
+        a_re = self.reordered.to_dense()
+        scale = np.abs(a_re).max() or 1.0
+        return float(np.abs(a_re - l @ u).max() / scale)
 
 
 class PanguLU:
     """Sparse direct solver for ``A x = b`` (square, structurally
-    nonsingular ``A``).
+    nonsingular ``A``): the analysis builder.
+
+    Runs phases 1–4 on demand, keeps their products (``symbolic``,
+    ``blocks``, ``dag``, ``placement``, ``assignment``, ``recorder``,
+    ``phase_seconds``) and returns the one :class:`Factorization` handle
+    from :meth:`factorize`; everything done to the factored system goes
+    through that handle.  :meth:`solve` is the one-shot entry point.
 
     Parameters
     ----------
@@ -811,13 +830,17 @@ class PanguLU:
         self.symbolic: SymbolicResult | None = None
         self.blocks: BlockMatrix | None = None
         self.dag: TaskDAG | None = None
-        self.grid: ProcessGrid | None = None
         self.placement: PlacementPolicy | None = None
         self.assignment: np.ndarray | None = None
-        self.numeric_stats: FactorizeStats | None = None
-        self.recorder = None  # EventRecorder of the last factorize, if traced
-        self._factorized = False
+        self.recorder = None  # EventRecorder of the factorize, if traced
         self._fact: Factorization | None = None
+
+    @property
+    def numeric_stats(self) -> FactorizeStats | None:
+        """Stats of the numeric run behind the current factors (the
+        handle's, so they follow ``factorize().refactorize``); ``None``
+        before :meth:`factorize`."""
+        return self._fact.stats if self._fact is not None else None
 
     # ------------------------------------------------------------------
     # phases
@@ -891,9 +914,7 @@ class PanguLU:
             self.options.blocking, block_size=self.options.block_size
         )
         self.blocks = strategy.partition(
-            filled,
-            arena=self.options.use_arena,
-            dtype=self.options.resolved_factor_dtype(),
+            filled, dtype=self.options.resolved_factor_dtype()
         )
         if self.options.compress_tol > 0.0:
             # sync the solver-level knobs into the numeric options the
@@ -905,7 +926,6 @@ class PanguLU:
         if self.options.numeric.compress_tol > 0.0:
             self.blocks.enable_lr_overlay()
         self.dag = build_dag(self.blocks)
-        self.grid = ProcessGrid.square(self.options.nprocs)
         if self.options.rank_speeds == "auto":
             from ..runtime.calibrate import calibrate_rank_speeds
 
@@ -941,16 +961,11 @@ class PanguLU:
         Dispatches to the engine named by ``options.engine`` through the
         registry in :mod:`repro.runtime.engines` — every engine drains
         the same DAG through the shared scheduler core and produces the
-        same factors.  The returned handle owns phase 5 (and is
-        picklable, so it can solve in other processes); ``solve`` /
-        ``solve_transposed`` / ``refactorize`` on this object delegate
-        to it.
+        same factors.  The returned handle owns phase 5, refactorisation
+        and the diagnostics (and is picklable, so it can solve in other
+        processes); it shares ``blocks`` with this builder.
         """
-        if self._factorized:
-            if self._fact is None:
-                # blocks were factorised externally (e.g. by calling an
-                # engine directly) — wrap them in a handle all the same
-                self._fact = self._make_handle()
+        if self._fact is not None:
             return self._fact
         if self.blocks is None:
             self.preprocess()
@@ -960,40 +975,25 @@ class PanguLU:
 
         engine = get_engine(self.options.resolved_engine())
         self.recorder = EventRecorder() if self.options.trace_events else None
-        self.numeric_stats = engine(
+        stats = engine(
             self.blocks, self.dag, self.options, recorder=self.recorder,
             placement=self.placement,
         )
         self.phase_seconds["numeric"] = time.perf_counter() - t0
-        self._factorized = True
-        self._fact = self._make_handle()
-        return self._fact
-
-    def _make_handle(self) -> Factorization:
-        return Factorization(
+        self._fact = Factorization(
             self.a, self.options,
             row_scale=self.row_scale, col_scale=self.col_scale,
             row_perm=self.row_perm, col_perm=self.col_perm,
             symbolic=self.symbolic, reordered=self._reordered,
-            blocks=self.blocks, dag=self.dag, stats=self.numeric_stats,
+            blocks=self.blocks, dag=self.dag, stats=stats,
             placement=self.placement,
         )
-
-    @property
-    def solve_count(self) -> int:
-        """Solves performed against the current factorisation."""
-        return self._fact.solve_count if self._fact is not None else 0
-
-    @property
-    def last_solve_seconds(self) -> float:
-        """Wall-clock of the most recent solve alone
-        (``phase_seconds["solve"]`` accumulates across solves)."""
-        return self._fact.last_solve_seconds if self._fact is not None else 0.0
+        return self._fact
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Phase 5: solve ``A x = b``, with ``refine_steps`` rounds of
         iterative refinement, through the engine named by
-        ``options.engine`` (delegates to the :class:`Factorization`).
+        ``options.engine`` (factorising first if needed).
 
         ``b`` may be a vector of length ``n`` or an ``(n, k)`` array of
         ``k`` simultaneous right-hand sides.
@@ -1002,115 +1002,6 @@ class PanguLU:
         x = fact.solve(b, recorder=self.recorder)
         self.phase_seconds["solve"] = fact.total_solve_seconds
         return x
-
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``Aᵀ x = b`` using the same factorisation.
-
-        Uses ``(LU)ᵀ = Uᵀ Lᵀ`` over the block layout — no second
-        factorisation.  Needed by the 1-norm condition estimator and by
-        adjoint/sensitivity computations in circuit and PDE workloads.
-        """
-        fact = self.factorize()
-        x = fact.solve_transposed(b)
-        self.phase_seconds["solve"] = fact.total_solve_seconds
-        return x
-
-    def _apply_factors(self, b: np.ndarray) -> np.ndarray:
-        """One pass of the permuted/scaled triangular solves (delegates
-        to :meth:`Factorization.apply`)."""
-        return self.factorize().apply(b, recorder=self.recorder)
-
-    def _matvec_t(self, x: np.ndarray) -> np.ndarray:
-        """``Aᵀ @ x`` for a dense vector."""
-        fact = self.factorize()
-        return fact._matvec_t(x)
-
-    def slogdet(self) -> tuple[float, float]:
-        """``(sign, log|det A|)`` from the factorisation (numpy.slogdet
-        convention).
-
-        Uses ``det(P₁ · Dr A Dc · P₂ᵀ) = Π diag(U)`` and corrects for the
-        permutation signs and the MC64 scalings.
-        """
-        self.factorize()
-        sign = 1.0
-        logdet = 0.0
-        for k in range(self.blocks.nb):
-            diag = self.blocks.block(k, k)
-            d = diag.diagonal()
-            if np.any(d == 0.0):
-                return 0.0, -np.inf
-            sign *= float(np.prod(np.sign(d)))
-            logdet += float(np.sum(np.log(np.abs(d))))
-        sign *= _perm_sign(self.row_perm) * _perm_sign(self.col_perm)
-        logdet -= float(np.sum(np.log(self.row_scale)))
-        logdet -= float(np.sum(np.log(self.col_scale)))
-        return sign, logdet
-
-    def condest_1norm(self, *, max_iter: int = 8) -> float:
-        """Estimate ``κ₁(A) = ‖A‖₁ · ‖A⁻¹‖₁`` (Hager's method).
-
-        ``‖A⁻¹‖₁`` is estimated by power iteration on the signs of
-        ``A⁻¹``/``A⁻ᵀ`` applications — a lower bound that is typically
-        within a small factor of the truth, at the cost of a handful of
-        triangular solves.
-        """
-        self.factorize()
-        n = self.a.ncols
-        norm_a = self.a.norm_1()
-        x = np.full(n, 1.0 / n, dtype=np.float64)
-        est = 0.0
-        for _ in range(max_iter):
-            y = self.solve(x)
-            new_est = float(np.abs(y).sum())
-            xi = np.sign(y)
-            xi[xi == 0] = 1.0
-            z = self.solve_transposed(xi)
-            j = int(np.argmax(np.abs(z)))
-            if new_est <= est or float(np.abs(z[j])) <= float(z @ x):
-                est = max(est, new_est)
-                break
-            est = new_est
-            x = np.zeros(n, dtype=np.float64)
-            x[j] = 1.0
-        return norm_a * est
-
-    def refactorize(self, a_new: CSCMatrix) -> FactorizeStats:
-        """Re-run only the numeric phase for a matrix with the *same
-        pattern* but new values (Newton steps in circuit/device
-        simulation — the workload PanguLU's introduction motivates).
-
-        Delegates to :meth:`Factorization.refactorize`, which reuses the
-        reordering, symbolic pattern, blocking, DAG, mapping, execution
-        plans and solve DAGs computed for the original matrix; only value
-        injection and the numeric factorisation are repeated.
-        """
-        if self._fact is None:
-            if self.blocks is None:
-                self.preprocess()
-            # value swap before the first numeric run: factorise the new
-            # values directly instead of factorising twice
-            if a_new.shape != self.a.shape:
-                raise ValueError("refactorize requires a same-shape matrix")
-            if not (
-                np.array_equal(a_new.indptr, self.a.indptr)
-                and np.array_equal(a_new.indices, self.a.indices)
-            ):
-                raise ValueError(
-                    "refactorize requires the original sparsity pattern"
-                )
-            fact = self.factorize()
-            stats = fact.refactorize(a_new)
-        else:
-            stats = self._fact.refactorize(a_new)
-        # keep the facade's view of the phase products in step
-        self.a = self._fact.a
-        self._reordered = self._fact.reordered
-        self.blocks = self._fact.blocks
-        self.numeric_stats = stats
-        self.phase_seconds["numeric"] = self._fact.refactorize_seconds
-        self._factorized = True
-        return stats
 
     def estimate(
         self,
@@ -1160,24 +1051,3 @@ class PanguLU:
                     "sync_ratio": sim.result.sync_ratio(),
                 }
         return out
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def residual_norm(self, x: np.ndarray, b: np.ndarray) -> float:
-        """Relative residual ``‖A x − b‖₂ / ‖b‖₂``."""
-        r = self.a.matvec(x) - b
-        denom = float(np.linalg.norm(b)) or 1.0
-        return float(np.linalg.norm(r)) / denom
-
-    def lu_product_error(self) -> float:
-        """Max-norm error ``‖(reordered A) − L·U‖∞ / ‖A‖∞`` — verifies the
-        factorisation independently of any right-hand side."""
-        self.factorize()
-        lu = self.blocks.to_csc().to_dense()
-        n = lu.shape[0]
-        l = np.tril(lu, -1) + np.eye(n)
-        u = np.triu(lu)
-        a_re = self._reordered.to_dense()
-        scale = np.abs(a_re).max() or 1.0
-        return float(np.abs(a_re - l @ u).max() / scale)

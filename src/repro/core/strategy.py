@@ -60,16 +60,10 @@ class BlockingStrategy(ABC):
         """Block-boundary array (length ``nb + 1``, from 0 to ``n``)."""
 
     def partition(
-        self,
-        filled: CSCMatrix,
-        *,
-        arena: bool = False,
-        dtype: np.dtype | type | None = None,
+        self, filled: CSCMatrix, *, dtype: np.dtype | type | None = None
     ) -> BlockMatrix:
         """Partition ``filled`` along this strategy's boundaries."""
-        return block_partition(
-            filled, self.boundaries(filled), arena=arena, dtype=dtype
-        )
+        return block_partition(filled, self.boundaries(filled), dtype=dtype)
 
 
 class RegularBlocking(BlockingStrategy):
@@ -93,17 +87,11 @@ class RegularBlocking(BlockingStrategy):
         )
 
     def partition(
-        self,
-        filled: CSCMatrix,
-        *,
-        arena: bool = False,
-        dtype: np.dtype | type | None = None,
+        self, filled: CSCMatrix, *, dtype: np.dtype | type | None = None
     ) -> BlockMatrix:
         # pass the scalar through so the structure's nominal ``bs`` keeps
         # the requested value even when it exceeds the matrix order
-        return block_partition(
-            filled, self.chosen_size(filled), arena=arena, dtype=dtype
-        )
+        return block_partition(filled, self.chosen_size(filled), dtype=dtype)
 
 
 class IrregularBlocking(BlockingStrategy):

@@ -8,8 +8,8 @@ aliasing it and the in-place ``refactorize`` path all stay coherent.
 Rebinding one of those attributes (``blk.data = new_array``) silently
 detaches the block from its slab — subsequent arena-addressed plans and
 slab sends would read stale storage while the kernel's output sits in a
-private array.  The same discipline is what makes the legacy layout's
-plan cache safe across :meth:`~repro.core.solver.PanguLU.refactorize`.
+private array.  The same discipline is what keeps the plan cache safe
+across :meth:`~repro.core.solver.Factorization.refactorize`.
 
 So in kernel and engine code any assignment whose *target* is a
 ``.data`` / ``.indices`` / ``.indptr`` attribute is flagged — including

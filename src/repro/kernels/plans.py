@@ -520,7 +520,7 @@ class PlanCache:
 
     Patterns are immutable after symbolic factorisation, so a plan built
     for a ``(kernel role, block slots)`` key stays valid for the life of
-    the block structure — including across :meth:`PanguLU.refactorize`
+    the block structure — including across :meth:`Factorization.refactorize`
     calls, which re-inject values into the same pattern.
 
     Reads are lock-free (a dict read is atomic under the GIL); builds are

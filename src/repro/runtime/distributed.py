@@ -28,7 +28,7 @@ rank ships home — factored blocks, or solved ``x`` segments.
 The message substrate is a pluggable :class:`~repro.runtime.transports.
 Transport`: by default one OS process per rank with ``multiprocessing``
 queues (block payloads are the raw ``(indptr, indices, data)`` arrays —
-on the arena layout these are zero-copy slab slices, and the wire-byte
+on the master these are zero-copy arena slab slices, and the wire-byte
 accounting is unchanged because a view's ``nbytes`` is the slice's size);
 the in-process :class:`~repro.runtime.transports.LoopbackTransport` runs
 the identical protocol on threads for deterministic testing and fault

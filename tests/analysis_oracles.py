@@ -354,7 +354,7 @@ def missing_diagonal(a: CSCMatrix) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def block_partition(filled: CSCMatrix, bs, *, arena=False, dtype=None) -> BlockMatrix:
+def block_partition(filled: CSCMatrix, bs, *, dtype=None) -> BlockMatrix:
     """Per-column, per-block-row chunking into the two-layer structure."""
     dtype = np.dtype(dtype) if dtype is not None else filled.dtype
     n = filled.ncols
@@ -414,17 +414,6 @@ def block_partition(filled: CSCMatrix, bs, *, arena=False, dtype=None) -> BlockM
         for bi, *payload in entries:
             rowidx.append(bi)
             payloads.append(payload)
-    out = BlockMatrix(
-        n=n, bs=bs, nb=nb, blk_colptr=blk_colptr,
-        blk_rowidx=np.asarray(rowidx, dtype=np.int64), blk_values=[],
-        dtype=dtype, boundaries=bounds,
-    )
-    if not arena:
-        out.blk_values = [
-            CSCMatrix(shape, indptr, indices, vals, check=False)
-            for shape, indptr, indices, vals, _ in payloads
-        ]
-        return out
     ptr_off = np.zeros(len(payloads) + 1, dtype=np.int64)
     val_off = np.zeros(len(payloads) + 1, dtype=np.int64)
     for slot, (_, indptr, indices, _, _) in enumerate(payloads):
@@ -435,14 +424,18 @@ def block_partition(filled: CSCMatrix, bs, *, arena=False, dtype=None) -> BlockM
         return np.concatenate([p[k] for p in payloads]) if payloads else empty
 
     ints = np.zeros(0, dtype=np.int64)
-    out.arena = FactorArena(
+    arena = FactorArena(
         indptr=cat(1, ints), indices=cat(2, ints),
         data=cat(3, np.zeros(0, dtype=dtype)),
         ptr_off=ptr_off, val_off=val_off, gather=cat(4, ints),
     )
-    out.blk_values = [
-        out.arena.slot_view(slot, p[0]) for slot, p in enumerate(payloads)
-    ]
+    out = BlockMatrix(
+        n=n, bs=bs, nb=nb, blk_colptr=blk_colptr,
+        blk_rowidx=np.asarray(rowidx, dtype=np.int64), arena=arena,
+        dtype=dtype, boundaries=bounds,
+    )
+    # views from the oracle's own payload shapes, not the attach routine
+    out.blk_values = [arena.slot_view(slot, p[0]) for slot, p in enumerate(payloads)]
     return out
 
 

@@ -68,10 +68,8 @@ def assert_same_blocks(x: BlockMatrix, y: BlockMatrix) -> None:
     assert len(x.blk_values) == len(y.blk_values)
     for bx, by in zip(x.blk_values, y.blk_values):
         assert_same_csc(bx, by)
-    assert (x.arena is None) == (y.arena is None)
-    if x.arena is not None:
-        for name in ("indptr", "indices", "data", "ptr_off", "val_off", "gather"):
-            assert_same(getattr(x.arena, name), getattr(y.arena, name))
+    for name in ("indptr", "indices", "data", "ptr_off", "val_off", "gather"):
+        assert_same(getattr(x.arena, name), getattr(y.arena, name))
 
 
 def assert_same_dag(x: TaskDAG, y: TaskDAG) -> None:
@@ -142,10 +140,9 @@ def test_edge_cases_match_reference(case):
     filled = symbolic_symmetric(a).filled
     assert_same_csc(filled, oracle.symbolic_symmetric(a).filled)
     for bs in (1, 4, n + 3):  # n + 3: one block, n below the block size
-        for arena in (False, True):
-            blocks = block_partition(filled, bs, arena=arena)
-            assert_same_blocks(blocks, oracle.block_partition(filled, bs, arena=arena))
-            assert_same_dag(build_dag(blocks), oracle.build_dag(blocks))
+        blocks = block_partition(filled, bs)
+        assert_same_blocks(blocks, oracle.block_partition(filled, bs))
+        assert_same_dag(build_dag(blocks), oracle.build_dag(blocks))
 
 
 # ----------------------------------------------------------------------
@@ -315,15 +312,14 @@ def test_missing_diagonal_matches_per_column_search(nrows, ncols, density, seed)
 @given(
     graphs,
     st.one_of(st.integers(1, 70), st.just("irregular")),
-    st.booleans(),
     st.sampled_from([None, np.float32]),
 )
-def test_partition_and_dag_match_reference(a, bs, arena, dtype):
+def test_partition_and_dag_match_reference(a, bs, dtype):
     filled = symbolic_symmetric(a).filled
     if bs == "irregular":
         bs = IrregularBlocking(8).boundaries(filled)
-    blocks = block_partition(filled, bs, arena=arena, dtype=dtype)
-    assert_same_blocks(blocks, oracle.block_partition(filled, bs, arena=arena, dtype=dtype))
+    blocks = block_partition(filled, bs, dtype=dtype)
+    assert_same_blocks(blocks, oracle.block_partition(filled, bs, dtype=dtype))
     assert_same_dag(build_dag(blocks), oracle.build_dag(blocks))
 
 

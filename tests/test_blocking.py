@@ -217,18 +217,6 @@ class TestBoundaryPartition:
         assert list(rows) == [last]  # only the diagonal block is stored
         np.testing.assert_allclose(bm.to_csc().to_dense(), eye_tail)
 
-    def test_arena_matches_per_block_on_irregular(self):
-        f = self._filled(n=60)
-        bounds = np.array([0, 7, 9, 30, 31, 55, 60])
-        bm = block_partition(f, bounds)
-        bm_arena = block_partition(f, bounds, arena=True)
-        assert bm_arena.arena is not None
-        for a_blk, b_blk in zip(bm.blk_values, bm_arena.blk_values):
-            assert a_blk.shape == b_blk.shape
-            np.testing.assert_array_equal(a_blk.indptr, b_blk.indptr)
-            np.testing.assert_array_equal(a_blk.indices, b_blk.indices)
-            np.testing.assert_array_equal(a_blk.data, b_blk.data)
-
     def test_rejects_bad_boundaries(self):
         f = self._filled(n=20)
         with pytest.raises(ValueError, match="strictly increasing"):

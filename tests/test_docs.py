@@ -24,7 +24,7 @@ def test_walkthrough_code_blocks_execute():
 
     solver = namespace["solver"]
     x = namespace["x"]
-    assert solver.residual_norm(x, np.ones(12)) < 1e-10
+    assert solver.factorize().residual_norm(x, np.ones(12)) < 1e-10
 
 
 def test_star_imports_work():

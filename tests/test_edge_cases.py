@@ -18,7 +18,7 @@ class TestTrivialSizes:
         s = PanguLU(a)
         x = s.solve(np.array([8.0]))
         np.testing.assert_allclose(x, [2.0])
-        sign, logdet = s.slogdet()
+        sign, logdet = s.factorize().slogdet()
         assert sign == 1.0 and logdet == pytest.approx(np.log(4.0))
 
     def test_two_by_two_antidiagonal(self):
@@ -76,7 +76,7 @@ class TestDegenerateStructures:
         s = PanguLU(a)
         b = np.ones(41)
         x = s.solve(b)
-        assert s.residual_norm(x, b) < 1e-10
+        assert s.factorize().residual_norm(x, b) < 1e-10
 
     def test_permutation_matrix_times_scale(self):
         n = 9

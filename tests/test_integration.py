@@ -10,7 +10,6 @@ from repro.baseline import SuperLUBaseline, simulate_superlu
 from repro.runtime import (
     A100_PLATFORM,
     MI50_PLATFORM,
-    factorize_threaded,
     simulate_pangulu,
 )
 from repro.sparse import generate, read_matrix_market, write_matrix_market
@@ -27,7 +26,7 @@ class TestFullPipeline:
         s = PanguLU(loaded)
         b = np.sin(np.arange(loaded.nrows))
         x = s.solve(b)
-        assert s.residual_norm(x, b) < 1e-8
+        assert s.factorize().residual_norm(x, b) < 1e-8
 
     def test_both_solvers_same_answer(self):
         a = generate("cage12", scale=0.15)
@@ -38,16 +37,10 @@ class TestFullPipeline:
 
     def test_threaded_solution_matches(self):
         a = generate("ldoor", scale=0.1)
-        s = PanguLU(a)
-        s.preprocess()
-        factorize_threaded(s.blocks, s.dag, n_workers=4)
-        s._factorized = True
-        from repro.core.numeric import FactorizeStats
-
-        s.numeric_stats = FactorizeStats()
+        s = PanguLU(a, SolverOptions(engine="threaded", n_workers=4))
         b = np.ones(a.nrows)
         x = s.solve(b)
-        assert s.residual_norm(x, b) < 1e-8
+        assert s.factorize().residual_norm(x, b) < 1e-8
 
     def test_simulated_speedup_shape(self):
         """Scaling up processes must not slow down a flop-heavy matrix by

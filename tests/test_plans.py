@@ -128,7 +128,7 @@ class TestPlanCacheBehaviour:
         a2 = CSCMatrix(
             a.shape, a.indptr.copy(), a.indices.copy(), a.data * 1.5
         )
-        solver.refactorize(a2)
+        solver.factorize().refactorize(a2)
         # same pattern ⇒ same slots ⇒ zero rebuilds on the second pass
         assert solver.blocks.plan_cache is cache
         assert len(cache) == built

@@ -48,14 +48,14 @@ class TestTransposeSolve:
         a = random_sparse(70, 0.07, seed=seed)
         s = PanguLU(a)
         b = np.random.default_rng(seed).standard_normal(70)
-        x = s.solve_transposed(b)
+        x = s.factorize().solve_transposed(b)
         d = a.to_dense()
         assert np.abs(d.T @ x - b).max() < 1e-8
 
     def test_consistent_with_transposed_matrix(self):
         a = random_sparse(50, 0.08, seed=9)
         b = np.random.default_rng(2).standard_normal(50)
-        x1 = PanguLU(a).solve_transposed(b)
+        x1 = PanguLU(a).factorize().solve_transposed(b)
         x2 = PanguLU(a.transpose()).solve(b)
         np.testing.assert_allclose(x1, x2, atol=1e-8)
 
@@ -63,7 +63,7 @@ class TestTransposeSolve:
         a = generate("cage12", scale=0.12)
         s = PanguLU(a)
         b = np.ones(a.nrows)
-        x = s.solve_transposed(b)
+        x = s.factorize().solve_transposed(b)
         d = a.to_dense()
         assert np.abs(d.T @ x - b).max() < 1e-8
 
@@ -72,7 +72,7 @@ class TestSlogdet:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_numpy(self, seed):
         a = random_sparse(50, 0.08, seed=seed)
-        sign, logdet = PanguLU(a).slogdet()
+        sign, logdet = PanguLU(a).factorize().slogdet()
         sref, lref = np.linalg.slogdet(a.to_dense())
         assert sign == sref
         assert logdet == pytest.approx(lref, rel=1e-9)
@@ -83,22 +83,22 @@ class TestSlogdet:
         flipped = a.copy()
         rows, _ = flipped.rows_cols()
         flipped.data[rows == 0] *= -1.0
-        s1, _ = PanguLU(a).slogdet()
-        s2, _ = PanguLU(flipped).slogdet()
+        s1, _ = PanguLU(a).factorize().slogdet()
+        s2, _ = PanguLU(flipped).factorize().slogdet()
         assert s1 == -s2
 
     def test_scaled_matrix(self):
         a = random_sparse(40, 0.08, seed=6)
         scaled = a.scale(np.full(40, 3.0), None)
-        _, l1 = PanguLU(a).slogdet()
-        _, l2 = PanguLU(scaled).slogdet()
+        _, l1 = PanguLU(a).factorize().slogdet()
+        _, l2 = PanguLU(scaled).factorize().slogdet()
         assert l2 == pytest.approx(l1 + 40 * np.log(3.0), rel=1e-9)
 
 
 class TestCondest:
     def test_within_factor_of_truth(self):
         a = random_sparse(60, 0.08, seed=7)
-        est = PanguLU(a).condest_1norm()
+        est = PanguLU(a).factorize().condest_1norm()
         d = a.to_dense()
         true = np.linalg.norm(d, 1) * np.linalg.norm(np.linalg.inv(d), 1)
         assert est <= true * 1.001          # Hager gives a lower bound
@@ -107,14 +107,14 @@ class TestCondest:
     def test_identity_conditioning(self):
         from repro.sparse import CSCMatrix
 
-        est = PanguLU(CSCMatrix.eye(12)).condest_1norm()
+        est = PanguLU(CSCMatrix.eye(12)).factorize().condest_1norm()
         assert est == pytest.approx(1.0, rel=1e-12)
 
     def test_detects_bad_conditioning(self):
         a = random_sparse(40, 0.1, seed=8)
         bad = a.scale(np.logspace(0, 8, 40), None)
-        k_good = PanguLU(a).condest_1norm()
-        k_bad = PanguLU(bad).condest_1norm()
+        k_good = PanguLU(a).factorize().condest_1norm()
+        k_bad = PanguLU(bad).factorize().condest_1norm()
         assert k_bad > 100 * k_good
 
 
@@ -163,7 +163,7 @@ class TestEstimate:
         a = random_sparse(40, 0.1, seed=12)
         s = PanguLU(a)
         s.estimate(proc_counts=(1,))
-        assert not s._factorized
+        assert s.numeric_stats is None
         # numeric still works afterwards
         x = s.solve(np.ones(40))
-        assert s.residual_norm(x, np.ones(40)) < 1e-9
+        assert s.factorize().residual_norm(x, np.ones(40)) < 1e-9

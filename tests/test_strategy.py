@@ -182,7 +182,7 @@ class TestEngineIdentity:
                 np.testing.assert_allclose(
                     x, reference[2], rtol=1e-10, atol=1e-14, err_msg=engine
                 )
-            assert s.residual_norm(x, b) < 1e-10, engine
+            assert s.factorize().residual_norm(x, b) < 1e-10, engine
 
     def test_boundary_path_bit_identical_to_scalar(self):
         # deterministic engine, same schedule: routing the partition
@@ -194,11 +194,10 @@ class TestEngineIdentity:
         b = np.linspace(1.0, 2.0, a.nrows)
 
         class _BoundarySpelling(RegularBlocking):
-            def partition(self, filled, *, arena=False, dtype=None):
+            def partition(self, filled, *, dtype=None):
                 return block_partition(
                     filled,
                     boundaries_from_block_size(filled.ncols, 16),
-                    arena=arena,
                     dtype=dtype,
                 )
 
@@ -226,7 +225,7 @@ class TestEngineIdentity:
         for blocking in ("regular", "irregular"):
             s = PanguLU(a, SolverOptions(blocking=blocking))
             xs[blocking] = s.solve(b)
-            assert s.residual_norm(xs[blocking], b) < 1e-10
+            assert s.factorize().residual_norm(xs[blocking], b) < 1e-10
         np.testing.assert_allclose(
             xs["regular"], xs["irregular"], rtol=1e-8, atol=1e-10
         )
@@ -238,31 +237,27 @@ class TestSolverIntegration:
         b = np.linspace(1.0, 2.0, a.nrows)
         s = PanguLU(a, SolverOptions(blocking="irregular"))
         x = s.solve(b)
-        assert s.residual_norm(x, b) < 1e-10
+        assert s.factorize().residual_norm(x, b) < 1e-10
         assert not s.blocks.is_regular or s.blocks.nb == 1
         assert s.estimate()["blocking"] == "irregular"
 
     def test_irregular_with_arena_refactorize(self):
         a = random_sparse(140, 0.04, seed=11)
         b = np.linspace(1.0, 2.0, a.nrows)
-        for use_arena in (True, False):
-            s = PanguLU(
-                a, SolverOptions(blocking="irregular", use_arena=use_arena)
-            )
-            fact = s.factorize()
-            a2 = a.copy()
-            a2.data = a.data * 1.25
-            fact.refactorize(a2)
-            x = fact.solve(b)
-            r = a2.matvec(x) - b
-            assert np.linalg.norm(r) / np.linalg.norm(b) < 1e-10
+        fact = PanguLU(a, SolverOptions(blocking="irregular")).factorize()
+        a2 = a.copy()
+        a2.data = a.data * 1.25
+        fact.refactorize(a2)
+        x = fact.solve(b)
+        r = a2.matvec(x) - b
+        assert np.linalg.norm(r) / np.linalg.norm(b) < 1e-10
 
     def test_strategy_instance_in_options(self):
         a = random_sparse(120, 0.05, seed=13)
         b = np.linspace(1.0, 2.0, a.nrows)
         s = PanguLU(a, SolverOptions(blocking=IrregularBlocking(12)))
         x = s.solve(b)
-        assert s.residual_norm(x, b) < 1e-10
+        assert s.factorize().residual_norm(x, b) < 1e-10
         assert np.diff(s.blocks.boundaries).max() <= 12
 
     def test_explicit_block_size_is_irregular_cap(self):

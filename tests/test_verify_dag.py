@@ -221,7 +221,7 @@ class TestSolverIntegration:
             ),
         )
         x = solver.solve(b)
-        assert solver.residual_norm(x, b) < 1e-9
+        assert solver.factorize().residual_norm(x, b) < 1e-9
         # both DAGs were verifiable on demand too
         assert verify_dag(solver.dag).kind == "factor"
 
