@@ -1,4 +1,4 @@
-.PHONY: check lint analyze test bench-tier2 bench-e2e
+.PHONY: check lint analyze test bench-tier2 bench-e2e bench-ab
 
 check:
 	sh scripts/check.sh
@@ -47,3 +47,13 @@ bench-e2e:
 	for w in cold16 newton many_rhs; do \
 		python3 perfbench/run.py --workload $$w --seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace 1 || exit 1; \
 	done
+
+# alternating A/B pairs of the working tree against BENCH_BASE on one
+# workload (scripts/bench_ab.py): both medians, the base's Q1-Q3, the
+# change's wins and the bound check for every end-to-end metric
+BENCH_BASE ?= HEAD
+BENCH_WORKLOAD ?= many_rhs
+BENCH_PAIRS ?= 5
+bench-ab:
+	python3 scripts/bench_ab.py --base $(BENCH_BASE) --workload $(BENCH_WORKLOAD) \
+		--pairs $(BENCH_PAIRS) --seconds $(BENCH_SECONDS) --seed $(BENCH_SEED)

@@ -1,6 +1,6 @@
 """Ablation — compressed low-rank blocks on vs off in the filled regime.
 
-The low-rank overlay (``SolverOptions.compress_tol``) targets the
+The low-rank overlay (``NumericOptions.compress_tol``) targets the
 post-fill regime where GESSM/TSTRF panel blocks are dense in pattern
 but numerically low-rank: each such panel is replaced, *for its SSSSM
 consumers*, by truncated ``U @ V.T`` factors, so every Schur update it
@@ -138,8 +138,9 @@ def main() -> None:
 
     # end-to-end: the compressed solve must pass the refinement gate
     solver = PanguLU(am, SolverOptions(
-        block_size=BLOCK, compress_tol=COMPRESS_TOL,
-        compress_min_order=MIN_ORDER,
+        block_size=BLOCK, numeric=NumericOptions(
+            compress_tol=COMPRESS_TOL, compress_min_order=MIN_ORDER,
+        ),
     ))
     solver.preprocess()
     fact = solver.factorize()

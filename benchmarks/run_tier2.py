@@ -354,7 +354,8 @@ def bench_compression() -> dict:
     out: dict = {"n": n, "block_size": bs, "compress_tol": 1e-8}
     for label, tol in (("off", 0.0), ("on", 1e-8)):
         solver = PanguLU(am, SolverOptions(
-            block_size=bs, compress_tol=tol, compress_min_order=16,
+            block_size=bs,
+            numeric=NumericOptions(compress_tol=tol, compress_min_order=16),
         ))
         solver.preprocess()
         t0 = time.perf_counter()

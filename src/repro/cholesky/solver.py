@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.blocking import BlockMatrix, block_partition, choose_block_size
+from ..core.solver import SolverOptions, refine
 from ..kernels.base import Workspace
 from ..ordering import amd, nested_dissection, rcm
 from ..sparse.csc import CSCMatrix
@@ -30,7 +31,6 @@ class CholeskyOptions:
 
     ordering: str = "nd"
     block_size: int | None = None
-    refine_steps: int = 1
 
 
 class PanguLLt:
@@ -156,7 +156,9 @@ class PanguLLt:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` with optional iterative refinement."""
+        """Solve ``A x = b``, refined by :func:`repro.core.solver.refine`
+        to the ``SolverOptions`` default tolerance (``L·Lᵀ`` factors are
+        exact, so a residual that stops contracting is returned as is)."""
         self.factorize()
         t0 = time.perf_counter()
         b = np.asarray(b, dtype=np.float64)
@@ -169,12 +171,11 @@ class PanguLLt:
             out[self.perm] = z
             return out
 
-        x = apply(b)
-        for _ in range(max(0, self.options.refine_steps)):
-            r = b - self.a.matvec(x)
-            if not np.all(np.isfinite(r)):
-                break
-            x = x + apply(r)
+        x = refine(
+            apply(b), b, apply, self.a.matvec,
+            tol=SolverOptions.refine_tol,
+            max_iter=SolverOptions.refine_max_iter, exact=True,
+        )
         self.phase_seconds["solve"] = time.perf_counter() - t0
         return x
 

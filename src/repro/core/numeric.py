@@ -88,7 +88,7 @@ class NumericOptions:
         ``None`` removes the cap.
     compress_tol:
         Relative spectral tolerance for the low-rank block overlay
-        (``SolverOptions.compress_tol`` syncs here).  0 — the default —
+        (:class:`~repro.sparse.blockrep.CompressedBlock`).  0 — the default —
         disables compression entirely: no overlay is consulted or
         written, and every engine is bit-identical to the
         pre-compression code path.

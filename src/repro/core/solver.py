@@ -10,7 +10,7 @@
    matrix (:func:`repro.symbolic.symbolic_symmetric`).
 3. **Preprocessing** — block-size selection, regular 2D blocking into the
    two-layer sparse structure, task-DAG construction, block-cyclic
-   mapping with static load balancing.
+   placement.
 4. **Numeric factorisation** — DAG replay with adaptive sparse kernels.
 5. **Triangular solve** — block forward/backward substitution through the
    engine named by ``options.engine`` (the same scheduler core as the
@@ -42,7 +42,9 @@ from ..sparse.patterns import ensure_diagonal
 from ..symbolic import SymbolicResult, symbolic_symmetric
 from .blocking import BlockMatrix
 from .dag import TaskDAG, build_dag
-from .mapping import balance_loads, task_weights
+# unused here: perfbench's traced run wraps repro.core.solver.balance_loads
+# and fails with AttributeError without it
+from .mapping import balance_loads  # noqa: F401
 from .placement import PlacementPolicy, resolve_placement
 from .strategy import get_blocking_strategy
 from .numeric import FactorizeStats, NumericOptions
@@ -54,7 +56,7 @@ from .tsolve import (
 from .tsolve_dag import build_tsolve_dag
 from .verify import verify_dag
 
-__all__ = ["SolverOptions", "Factorization", "PanguLU", "RefinementStalled"]
+__all__ = ["SolverOptions", "Factorization", "PanguLU", "RefinementStalled", "refine"]
 
 
 class RefinementStalled(ArithmeticError):
@@ -120,9 +122,7 @@ def _fgmres(
         beta = float(np.linalg.norm(r))
         if beta <= tol_abs or not np.isfinite(beta):
             break
-        m = min(restart, maxiter - spent)
-        if m < 1:
-            break
+        m = min(restart, maxiter - spent)  # ≥ 1: spent < maxiter
         v = np.zeros((n, m + 1), dtype=dt)
         z = np.zeros((n, m), dtype=dt)
         h = np.zeros((m + 1, m), dtype=dt)
@@ -147,6 +147,94 @@ def _fgmres(
         r = r0 - np.asarray(matvec(y), dtype=dt)
         spent += 1
     return y, spent
+
+
+def refine(
+    x: np.ndarray,
+    b: np.ndarray,
+    apply_fn,
+    matvec,
+    *,
+    tol: float,
+    max_iter: int,
+    exact: bool,
+) -> np.ndarray:
+    """The one refinement loop behind every solve, in float64: LU-IR
+    sweeps ``x ← x + apply_fn(b − matvec(x))`` while the per-RHS relative
+    residual exceeds ``tol``, until ``max_iter`` sweeps are spent, the
+    residual is non-finite, or two sweeps in a row fail to halve it.
+
+    ``exact`` factors (float64, uncompressed) then return ``x`` as it
+    stands — static pivoting is backward stable, so a residual that stops
+    contracting is the rounding floor, not an error.  Inexact factors
+    escalate to GMRES-IR (FGMRES on ``A`` preconditioned by ``apply_fn``)
+    and raise :class:`RefinementStalled` when that also misses ``tol``.
+    """
+    tol = float(tol)
+    budget = max(1, int(max_iter))
+    x = np.asarray(x, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    multi = b.ndim == 2
+
+    if multi:
+        bden = np.linalg.norm(b, axis=0)
+        bden = np.where(bden == 0.0, 1.0, bden)
+    else:
+        bden = float(np.linalg.norm(b)) or 1.0
+
+    def rel(r: np.ndarray) -> float:
+        if multi:
+            return float(np.max(np.linalg.norm(r, axis=0) / bden))
+        return float(np.linalg.norm(r)) / bden
+
+    spent = 0
+    r = b - matvec(x)
+    worst = rel(r)
+    prev = np.inf
+    stall = 0
+    while worst > tol and spent < budget and np.all(np.isfinite(r)):
+        # a sweep that fails to halve the residual is "stalled" — the
+        # factor error (κ(A)·ε₃₂, the overlay tolerance) or the rounding
+        # floor is biting and more of the same will not converge
+        if worst > 0.5 * prev:
+            stall += 1
+            if stall >= 2:
+                break
+        else:
+            stall = 0
+        prev = worst
+        x = x + np.asarray(apply_fn(r), dtype=np.float64)
+        spent += 1
+        r = b - matvec(x)
+        worst = rel(r)
+    if worst <= tol or exact:
+        return x
+
+    # GMRES-IR escalation, one correction system per unconverged RHS
+    if multi:
+        mv1 = lambda v: matvec(v[:, None])[:, 0]  # noqa: E731
+        ap1 = lambda v: apply_fn(v[:, None])[:, 0]  # noqa: E731
+        col_rel = np.linalg.norm(r, axis=0) / bden
+        todo = [j for j in range(b.shape[1]) if col_rel[j] > tol]
+    else:
+        mv1, ap1 = matvec, apply_fn
+        todo = [None]
+    esc_budget = max(budget, 20)
+    for j in todo:
+        rj = r[:, j] if multi else r
+        dj = bden[j] if multi else bden
+        y, used = _fgmres(mv1, ap1, np.asarray(rj, dtype=np.float64),
+                          tol * float(dj), esc_budget)
+        spent += used
+        if multi:
+            x[:, j] = x[:, j] + y
+        else:
+            x = x + y
+    r = b - matvec(x)
+    worst = rel(r)
+    if worst <= tol:
+        return x
+    raise RefinementStalled(worst, tol, spent)
 
 
 def _perm_sign(perm: np.ndarray) -> float:
@@ -194,7 +282,9 @@ class SolverOptions:
         width cap.  ``None`` applies the order/density heuristic of
         :func:`repro.core.blocking.choose_block_size`.
     numeric:
-        Kernel selection and pivoting options for the numeric phase.
+        Kernel selection, pivoting, execution-plan and low-rank
+        compression options for the numeric phase
+        (:class:`~repro.core.numeric.NumericOptions`).
     nprocs:
         Logical process count for the mapping and for the
         ``"distributed"``/``"hybrid"`` engines' rank count.
@@ -208,16 +298,12 @@ class SolverOptions:
         engines and the solve DAGs alike.
     rank_speeds:
         Per-rank relative speed factors (length ``nprocs``) describing a
-        heterogeneous machine; consumed by the ``"cost"`` placement and
-        the speed-aware load balancer.  ``None`` means homogeneous.
-        The string ``"auto"`` calibrates the factors from a short
-        deterministic kernel warmup at preprocessing time
-        (:func:`repro.runtime.calibrate.calibrate_rank_speeds`) and
+        heterogeneous machine; consumed by the ``"cost"`` placement.
+        ``None`` means homogeneous.  The string ``"auto"`` calibrates the
+        factors from a short deterministic kernel warmup at preprocessing
+        time (:func:`repro.runtime.calibrate.calibrate_rank_speeds`) and
         stores the resolved tuple back on the options, so every later
-        consumer (placement, balancer, engine re-resolution) sees
-        concrete floats.
-    load_balance:
-        Apply the static time-slice balancing to the task assignment.
+        consumer (placement, engine re-resolution) sees concrete floats.
     engine:
         Execution engine for the numeric phase **and** for the triangular
         solves of phase 5, resolved through the registries in
@@ -240,35 +326,24 @@ class SolverOptions:
         is available as ``solver.recorder`` (solve-task lanes are
         appended to it by each :meth:`PanguLU.solve`) and can be
         serialised with :func:`repro.runtime.write_recorder_trace`.
-    refine_steps:
-        Iterative-refinement sweeps after the triangular solves.  Static
-        pivoting (MC64 + GESP pivot replacement) trades factorisation-time
-        stability for a possibly larger residual; a few cheap refinement
-        steps recover it — the same recipe SuperLU_DIST applies.  Applies
-        to the ``float64`` factor path; the ``float32`` path replaces the
-        fixed sweep count with the adaptive loop below.
     factor_dtype:
         Working precision of the numeric factors: ``"float64"`` (default)
         or ``"float32"``.  Single precision halves the arena ``data``
         slab, the per-block value arrays and the transport value bytes;
-        accuracy is recovered by iterative refinement in
-        ``refine_target_dtype`` (residuals and corrections accumulate in
-        double precision — the classic mixed-precision LU-IR recipe,
-        mirroring the production solver's paired r32/r64 kernels).
-    refine_target_dtype:
-        Accumulation dtype of the mixed-precision refinement loop
-        (``"float64"`` default).  The triangular solves promote the
-        ``float32`` factors against this dtype's right-hand sides.
+        accuracy is recovered by iterative refinement in float64
+        (residuals and corrections accumulate in double precision — the
+        classic mixed-precision LU-IR recipe, mirroring the production
+        solver's paired r32/r64 kernels).
     refine_tol:
-        Relative-residual target ``‖b − A x‖ / ‖b‖`` of the adaptive
-        refinement on the ``float32`` factor path.  Plain refinement
-        iterates until the tolerance is met; if it stalls, a
-        GMRES-IR-style inner loop (FGMRES preconditioned by the low-
-        precision factors) takes over; if that also fails,
-        :class:`RefinementStalled` is raised with the achieved residual.
+        Per-RHS relative-residual target ``‖b − A x‖ / ‖b‖`` of the
+        refinement loop (:func:`refine`) that recovers what static
+        pivoting (and reduced precision or compression) loses — the
+        SuperLU_DIST recipe.  A first pass that meets it costs no sweep;
+        inexact factors that cannot reach it raise
+        :class:`RefinementStalled`.
     refine_max_iter:
-        Iteration budget of the adaptive refinement loop (plain sweeps
-        plus escalation matvecs).
+        Iteration budget of the refinement loop (plain sweeps plus
+        escalation matvecs).
     validate_concurrency:
         Run the numeric phase and the triangular solves under the
         :mod:`repro.devtools.racecheck` invariant checker: single writer
@@ -279,20 +354,6 @@ class SolverOptions:
         the tasks and workers involved.  Also enabled globally by
         setting the ``REPRO_CHECK`` environment variable to a non-zero
         value.
-    compress_tol:
-        Relative spectral tolerance of the low-rank block overlay
-        (:class:`~repro.sparse.blockrep.CompressedBlock`).  0 (default)
-        disables compression — every engine is bit-identical to the
-        pre-compression solver.  When positive, GESSM/TSTRF output
-        panels that compress profitably carry a truncated ``U @ V.T``
-        overlay which downstream SSSSM consumers (and the transports)
-        use at ``O((m + n) · rank)`` cost; the factors become
-        approximate and solves recover accuracy through the adaptive
-        refinement loop, escalating to an exact decompressed
-        refactorisation if refinement stalls.
-    compress_min_order:
-        Smallest ``min(m, n)`` a block must reach before a compression
-        attempt (the SVD never amortises on small blocks).
     verify_schedule:
         Statically verify every built DAG (the factor DAG at
         preprocessing, each executable solve DAG on first use) with
@@ -312,14 +373,9 @@ class SolverOptions:
     nprocs: int = 1
     placement: str | PlacementPolicy = "cyclic"
     rank_speeds: tuple[float, ...] | str | None = None
-    load_balance: bool = True
-    refine_steps: int = 2
     factor_dtype: str = "float64"
-    refine_target_dtype: str = "float64"
     refine_tol: float = 1e-12
     refine_max_iter: int = 40
-    compress_tol: float = 0.0
-    compress_min_order: int = 32
     n_workers: int = 1
     engine: str | None = None
     trace_events: bool = False
@@ -338,15 +394,6 @@ class SolverOptions:
         if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(
                 f"factor_dtype must be float32 or float64, got {dt}"
-            )
-        return dt
-
-    def resolved_refine_dtype(self) -> np.dtype:
-        """``refine_target_dtype`` as a validated :class:`numpy.dtype`."""
-        dt = np.dtype(self.refine_target_dtype)
-        if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(
-                f"refine_target_dtype must be float32 or float64, got {dt}"
             )
         return dt
 
@@ -509,92 +556,6 @@ class Factorization:
         """Value dtype of the stored factors (``blocks.dtype``)."""
         return self.blocks.dtype
 
-    def _refine(self, x: np.ndarray, b: np.ndarray, apply_fn, matvec):
-        """``refine_steps`` rounds of iterative refinement of ``x``
-        against ``b``, with ``apply_fn`` the direction-specific factor
-        application and ``matvec`` the matching matrix product."""
-        for _ in range(max(0, self.options.refine_steps)):
-            r = b - matvec(x)
-            if not np.all(np.isfinite(r)):
-                break
-            x = x + apply_fn(r)
-        return x
-
-    def _refine_adaptive(self, x: np.ndarray, b: np.ndarray, apply_fn, matvec):
-        """Adaptive mixed-precision refinement (the ``float32`` factor
-        path): iterate plain LU-IR in ``refine_target_dtype`` until the
-        relative residual meets ``refine_tol``; when the sweeps stop
-        contracting, escalate to a GMRES-IR inner loop (FGMRES on ``A``
-        preconditioned by the low-precision factor application); raise
-        :class:`RefinementStalled` when neither reaches the tolerance.
-        """
-        opts = self.options
-        tol = float(opts.refine_tol)
-        budget = max(1, int(opts.refine_max_iter))
-        target = opts.resolved_refine_dtype()
-        x = np.asarray(x, dtype=target)
-        b = np.asarray(b, dtype=target)
-        multi = b.ndim == 2
-
-        if multi:
-            bden = np.linalg.norm(b, axis=0)
-            bden = np.where(bden == 0.0, 1.0, bden)
-        else:
-            bden = float(np.linalg.norm(b)) or 1.0
-
-        def rel(r: np.ndarray) -> float:
-            if multi:
-                return float(np.max(np.linalg.norm(r, axis=0) / bden))
-            return float(np.linalg.norm(r)) / bden
-
-        spent = 0
-        r = b - matvec(x)
-        worst = rel(r)
-        prev = np.inf
-        stall = 0
-        while worst > tol and spent < budget and np.all(np.isfinite(r)):
-            # a sweep that fails to halve the residual is "stalled" —
-            # κ(A)·ε₃₂ is biting and more of the same will not converge
-            if worst > 0.5 * prev:
-                stall += 1
-                if stall >= 2:
-                    break
-            else:
-                stall = 0
-            prev = worst
-            x = x + np.asarray(apply_fn(r), dtype=target)
-            spent += 1
-            r = b - matvec(x)
-            worst = rel(r)
-        if worst <= tol:
-            return x
-
-        # GMRES-IR escalation, one correction system per unconverged RHS
-        if multi:
-            mv1 = lambda v: matvec(v[:, None])[:, 0]  # noqa: E731
-            ap1 = lambda v: apply_fn(v[:, None])[:, 0]  # noqa: E731
-            col_rel = np.linalg.norm(r, axis=0) / bden
-            todo = [j for j in range(b.shape[1]) if col_rel[j] > tol]
-        else:
-            mv1, ap1 = matvec, apply_fn
-            todo = [None]
-        esc_budget = max(budget, 20)
-        for j in todo:
-            rj = r[:, j] if multi else r
-            dj = bden[j] if multi else bden
-            y, used = _fgmres(mv1, ap1, np.asarray(rj, dtype=target),
-                              tol * float(dj), esc_budget)
-            spent += used
-            if multi:
-                x[:, j] = x[:, j] + y
-            else:
-                x = x + y
-        r = b - matvec(x)
-        worst = rel(r)
-        if worst <= tol:
-            return x
-        raise RefinementStalled(worst, tol, spent)
-
     def _account(self, t0: float) -> None:
         self.last_solve_seconds = time.perf_counter() - t0
         self.total_solve_seconds += self.last_solve_seconds
@@ -602,12 +563,12 @@ class Factorization:
 
     def compression_active(self) -> bool:
         """True while the factors were computed with the low-rank block
-        overlay enabled (``compress_tol > 0``) — i.e. they are
-        tolerance-accurate, not exact, and solves must run the adaptive
-        refinement loop.  Judged from the options, not the overlay dict:
-        on the distributed engine the compression happened on remote
-        ranks and the master's overlay is empty, but the gathered factor
-        values are approximate all the same."""
+        overlay enabled (``numeric.compress_tol > 0``) — i.e. they are
+        tolerance-accurate, not exact, and a refinement stall must
+        escalate instead of returning.  Judged from the options, not the
+        overlay dict: on the distributed engine the compression happened
+        on remote ranks and the master's overlay is empty, but the
+        gathered factor values are approximate all the same."""
         return self.options.numeric.compress_tol > 0.0
 
     def decompress(self) -> FactorizeStats:
@@ -616,29 +577,30 @@ class Factorization:
         overlay).  After this the handle behaves like a compression-off
         factorisation (bit-identical factors to ``compress_tol=0``); the
         caller retries the solve against the exact factors."""
-        self.options.compress_tol = 0.0
         self.options.numeric.compress_tol = 0.0
         return self.refactorize(self.a)
 
     def _refined(self, b: np.ndarray, apply_fn, matvec) -> np.ndarray:
-        """``apply_fn(b)`` refined against ``b`` by the loop the factors
-        call for: adaptive on compressed factors (decompressing and
-        starting over if it stalls), adaptive on ``float32`` factors,
-        ``refine_steps`` fixed sweeps on exact ``float64`` ones."""
-        x0 = apply_fn(b)
-        if self.compression_active():
-            try:
-                return self._refine_adaptive(x0, b, apply_fn, matvec)
-            except RefinementStalled:
-                self.decompress()
-                return self._refined(b, apply_fn, matvec)
-        if self.factor_dtype == np.dtype(np.float32):
-            return self._refine_adaptive(x0, b, apply_fn, matvec)
-        return self._refine(x0, b, apply_fn, matvec)
+        """``apply_fn(b)`` refined against ``b`` by :func:`refine`;
+        compressed factors that stall are decompressed and the solve
+        starts over against the exact factors."""
+        opts = self.options
+        compressed = self.compression_active()
+        exact = self.factor_dtype == np.dtype(np.float64) and not compressed
+        try:
+            return refine(
+                apply_fn(b), b, apply_fn, matvec,
+                tol=opts.refine_tol, max_iter=opts.refine_max_iter, exact=exact,
+            )
+        except RefinementStalled:
+            if not compressed:
+                raise
+            self.decompress()
+            return self._refined(b, apply_fn, matvec)
 
     def solve(self, b: np.ndarray, *, recorder=None) -> np.ndarray:
-        """Solve ``A x = b`` (vector or ``(n, k)`` multi-RHS panel) with
-        ``refine_steps`` rounds of iterative refinement.  Pass an
+        """Solve ``A x = b`` (vector or ``(n, k)`` multi-RHS panel),
+        refined by :func:`refine` to ``options.refine_tol``.  Pass an
         :class:`~repro.runtime.scheduler.EventRecorder` to append
         solve-task trace lanes to it."""
         t0 = time.perf_counter()
@@ -791,7 +753,7 @@ class PanguLU:
     nonsingular ``A``): the analysis builder.
 
     Runs phases 1–4 on demand, keeps their products (``symbolic``,
-    ``blocks``, ``dag``, ``placement``, ``assignment``, ``recorder``,
+    ``blocks``, ``dag``, ``placement``, ``recorder``,
     ``phase_seconds``) and returns the one :class:`Factorization` handle
     from :meth:`factorize`; everything done to the factored system goes
     through that handle.  :meth:`solve` is the one-shot entry point.
@@ -831,7 +793,6 @@ class PanguLU:
         self.blocks: BlockMatrix | None = None
         self.dag: TaskDAG | None = None
         self.placement: PlacementPolicy | None = None
-        self.assignment: np.ndarray | None = None
         self.recorder = None  # EventRecorder of the factorize, if traced
         self._fact: Factorization | None = None
 
@@ -905,7 +866,8 @@ class PanguLU:
         return self.symbolic
 
     def preprocess(self) -> BlockMatrix:
-        """Phase 3: blocking, DAG construction, mapping + load balance."""
+        """Phase 3: blocking, DAG construction, block→rank placement
+        (every task runs on the owner of its target block)."""
         if self.symbolic is None:
             self.symbolic_factorize()
         t0 = time.perf_counter()
@@ -916,14 +878,9 @@ class PanguLU:
         self.blocks = strategy.partition(
             filled, dtype=self.options.resolved_factor_dtype()
         )
-        if self.options.compress_tol > 0.0:
-            # sync the solver-level knobs into the numeric options the
-            # engines consume, and pre-size the arena's low-rank slab so
-            # compression (and re-compression on refactorize) is
-            # alloc-free
-            self.options.numeric.compress_tol = self.options.compress_tol
-            self.options.numeric.compress_min_order = self.options.compress_min_order
         if self.options.numeric.compress_tol > 0.0:
+            # pre-size the arena's low-rank slab so compression (and
+            # re-compression on refactorize) is alloc-free
             self.blocks.enable_lr_overlay()
         self.dag = build_dag(self.blocks)
         if self.options.rank_speeds == "auto":
@@ -934,23 +891,15 @@ class PanguLU:
             # Factorization handle re-resolves placements from the same
             # options object later
             self.options.rank_speeds = calibrate_rank_speeds(self.options.nprocs)
-        placement = resolve_placement(
+        self.placement = placement = resolve_placement(
             self.options.placement, self.options.nprocs,
             speeds=self.options.rank_speeds,
         ).prepare(self.dag, self.blocks)
-        self.placement = placement
-        assignment = placement.assign(self.dag)
         if self.options.verify_schedule:
             verify_dag(
-                self.dag, assignment=assignment, nprocs=placement.nprocs
+                self.dag, assignment=placement.assign(self.dag),
+                nprocs=placement.nprocs,
             )
-        if self.options.load_balance and placement.nprocs > 1:
-            weights = task_weights(self.dag, self.blocks)
-            assignment = balance_loads(
-                self.dag, placement, assignment,
-                weights=weights, speeds=placement.speeds,
-            )
-        self.assignment = assignment
         self.phase_seconds["preprocess"] = time.perf_counter() - t0
         return self.blocks
 
@@ -991,9 +940,9 @@ class PanguLU:
         return self._fact
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Phase 5: solve ``A x = b``, with ``refine_steps`` rounds of
-        iterative refinement, through the engine named by
-        ``options.engine`` (factorising first if needed).
+        """Phase 5: solve ``A x = b``, refined to ``options.refine_tol``,
+        through the engine named by ``options.engine`` (factorising first
+        if needed).
 
         ``b`` may be a vector of length ``n`` or an ``(n, k)`` array of
         ``k`` simultaneous right-hand sides.

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.numeric import NumericOptions
 from repro.core.solver import PanguLU, SolverOptions
 from repro.kernels import Workspace
 from repro.kernels.compress import (
@@ -203,7 +204,9 @@ class TestBitIdentityWhenOff:
         never mention compression, with zero compression counters."""
         _, am = _coupled_matrix()
         f0 = _factorize(am, block_size=32)
-        f1 = _factorize(am, block_size=32, compress_tol=0.0)
+        f1 = _factorize(
+            am, block_size=32, numeric=NumericOptions(compress_tol=0.0)
+        )
         for b0, b1 in zip(f0.blocks.blk_values, f1.blocks.blk_values):
             np.testing.assert_array_equal(b0.data, b1.data)
         assert f1.stats.blocks_compressed == 0
@@ -232,7 +235,8 @@ class TestCompressedSolve:
         b = np.random.default_rng(2).standard_normal(am.nrows)
         f = _factorize(
             am, block_size=32, engine=engine,
-            compress_tol=1e-8, compress_min_order=16, **kw,
+            numeric=NumericOptions(compress_tol=1e-8, compress_min_order=16),
+            **kw,
         )
         assert f.stats.blocks_compressed > 0
         assert f.stats.lr_value_bytes > 0
@@ -244,7 +248,8 @@ class TestCompressedSolve:
     def test_lr_kernels_appear_in_choices(self):
         _, am = _coupled_matrix()
         f = _factorize(
-            am, block_size=32, compress_tol=1e-8, compress_min_order=16,
+            am, block_size=32,
+            numeric=NumericOptions(compress_tol=1e-8, compress_min_order=16),
         )
         labels = set(f.stats.kernel_choices.values())
         assert any(lbl.startswith("SSSSM/LR_") for lbl in labels)
@@ -253,7 +258,6 @@ class TestCompressedSolve:
         """Compressed panels ship as U/V: the loopback byte accounting
         must come in strictly under the CSC payload accounting."""
         from repro.core import block_partition, build_dag
-        from repro.core.numeric import NumericOptions
         from repro.runtime.distributed import factorize_distributed
         from repro.runtime.transports import LoopbackTransport
         from repro.symbolic import symbolic_symmetric
@@ -281,7 +285,8 @@ class TestCompressedSolve:
 
         _, am = _coupled_matrix()
         f = _factorize(
-            am, block_size=32, compress_tol=1e-8, compress_min_order=16,
+            am, block_size=32,
+            numeric=NumericOptions(compress_tol=1e-8, compress_min_order=16),
         )
         rep = memory_report(f.blocks)
         assert rep.lr_value_bytes > 0
@@ -295,7 +300,8 @@ class TestCompressedSolve:
         pattern, new values) and the solve still meets the gate."""
         a, am = _coupled_matrix()
         f = _factorize(
-            am, block_size=32, compress_tol=1e-8, compress_min_order=16,
+            am, block_size=32,
+            numeric=NumericOptions(compress_tol=1e-8, compress_min_order=16),
         )
         first = f.stats.blocks_compressed
         assert first > 0
@@ -315,7 +321,8 @@ class TestEscalation:
         _, am = _coupled_matrix()
         exact = _factorize(am, block_size=32)
         f = _factorize(
-            am, block_size=32, compress_tol=1e-8, compress_min_order=16,
+            am, block_size=32,
+            numeric=NumericOptions(compress_tol=1e-8, compress_min_order=16),
         )
         assert f.compression_active()
         f.decompress()
@@ -330,7 +337,8 @@ class TestEscalation:
         exactly, and still return an accurate solution."""
         a, am = _coupled_matrix(scale=1.0, diag=8.0, seed=41)
         f = _factorize(
-            am, block_size=32, compress_tol=0.9, compress_min_order=16,
+            am, block_size=32,
+            numeric=NumericOptions(compress_tol=0.9, compress_min_order=16),
             refine_max_iter=4,
         )
         assert f.compression_active()

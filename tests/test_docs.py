@@ -80,3 +80,24 @@ def test_paper_mapping_references_real_modules():
                 break
         else:
             raise AssertionError(f"paper_mapping.md references missing {ref}")
+
+
+def test_option_docs_agree_with_fields():
+    """The ``Attributes`` section of the ``SolverOptions`` and
+    ``NumericOptions`` docstrings names exactly the dataclass fields, and
+    docs/api.md names every field as ``Class.field``."""
+    import dataclasses
+    import inspect
+
+    from repro.core.numeric import NumericOptions
+    from repro.core.solver import SolverOptions
+
+    api = (DOCS / "api.md").read_text()
+    for cls in (SolverOptions, NumericOptions):
+        fields = [f.name for f in dataclasses.fields(cls)]
+        doc = inspect.cleandoc(cls.__doc__)
+        section = doc.split("Attributes\n----------\n", 1)[1]
+        documented = re.findall(r"^(\w+):$", section, flags=re.MULTILINE)
+        assert sorted(documented) == sorted(fields), cls.__name__
+        missing = [f for f in fields if f"{cls.__name__}.{f}" not in api]
+        assert not missing, f"docs/api.md lacks {cls.__name__} fields {missing}"

@@ -56,10 +56,6 @@ class TestFactorDtypeOption:
     def test_invalid_dtype_rejected(self):
         with pytest.raises(ValueError, match="factor_dtype"):
             SolverOptions(factor_dtype="float16").resolved_factor_dtype()
-        with pytest.raises(ValueError, match="refine_target_dtype"):
-            SolverOptions(
-                refine_target_dtype="complex128"
-            ).resolved_refine_dtype()
 
     def test_value_nbytes_tracks_dtype(self):
         # symbolic (lazy-data) matrices must price value bytes at their
@@ -143,17 +139,6 @@ class TestRefinementRecoversAccuracy:
         err = RefinementStalled(1e-5, 1e-12, 7)
         back = pickle.loads(pickle.dumps(err))
         assert (back.achieved, back.tol, back.iterations) == (1e-5, 1e-12, 7)
-
-    def test_float64_path_unchanged_by_new_options(self):
-        # the adaptive loop is exclusive to the float32 path: float64
-        # solves keep the fixed-sweep semantics regardless of the knobs
-        n = 30
-        a = random_sparse(n, 0.1, seed=12)
-        b = np.ones(n)
-        x1 = PanguLU(a, SolverOptions(refine_steps=2)).solve(b)
-        x2 = PanguLU(a, SolverOptions(refine_steps=2, refine_tol=1e-1,
-                                      refine_max_iter=1)).solve(b)
-        np.testing.assert_array_equal(x1, x2)
 
 
 class TestEngineBitIdentity:

@@ -103,8 +103,6 @@ class TestSolve:
         a = random_sparse(80, 0.06, seed=8)
         s = PanguLU(a, SolverOptions(nprocs=4))
         s.preprocess()
-        assert s.assignment is not None
-        assert s.assignment.max() < 4
         # distributed mapping never changes local numeric correctness
         x = s.solve(np.ones(80))
         assert s.factorize().residual_norm(x, np.ones(80)) < 1e-9
